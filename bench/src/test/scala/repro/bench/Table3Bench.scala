@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.TweetGen
 import repro.exp.Experiments
 import repro.exp.Experiments.Table3Row
 

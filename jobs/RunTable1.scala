@@ -15,7 +15,7 @@ object RunTable1 {
 /** Shared session builder for the job entrypoints. */
 object Jobs {
   def session(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

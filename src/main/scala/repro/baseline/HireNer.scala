@@ -2,7 +2,7 @@ package repro.baseline
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.storage.StorageLevel
-import repro.core.Tweet
+import repro.core.{GlobalPooling, Tweet}
 import repro.data.TweetGen
 import repro.emd.{LocalEmd, TokenEmbedder}
 import repro.nn.MlpClassifier
@@ -49,24 +49,10 @@ object HireNer {
   }
 
   /** Global memory: mean local embedding per token type. */
-  def globalMemory(occ: Dataset[TokenOcc]): Map[String, Array[Double]] = {
-    val spark = occ.sparkSession
-    import spark.implicits._
-    occ.groupByKey(_.tokenKey)
-      .mapGroups { (key, it) =>
-        var count = 0L
-        var sum: Array[Double] = null
-        it.foreach { o =>
-          if (sum == null) sum = new Array[Double](o.local.length)
-          var i = 0
-          while (i < sum.length) { sum(i) += o.local(i); i += 1 }
-          count += 1
-        }
-        (key, sum.map(_ / count))
-      }
-      .collect()
+  def globalMemory(occ: Dataset[TokenOcc]): Map[String, Array[Double]] =
+    GlobalPooling.pools(occ)(_.tokenKey, _.local).collect()
+      .map { case (key, p) => key -> p.mean }
       .toMap
-  }
 
   private def featuresOf(local: Array[Double], global: Array[Double]): Array[Double] =
     local ++ global
@@ -83,7 +69,6 @@ object HireNer {
     val memory = globalMemory(occ)
     val bc = spark.sparkContext.broadcast(memory)
 
-    import spark.implicits._
     // Deterministic subsample, entity tokens kept at a higher rate so the
     // decoder sees a balanced class mix.
     val sampled = occ.filter { o =>

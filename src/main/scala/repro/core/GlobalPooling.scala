@@ -46,23 +46,27 @@ object GlobalPooling {
     val empty: Pool = Pool(0L, Array.empty[Double])
   }
 
-  /** Typed Aggregator from mention embeddings to a finished Pool. */
-  final class PoolAgg extends Aggregator[MentionEmb, Pool, Pool] {
+  /** Typed Aggregator from embeddings to a finished Pool. */
+  final class PoolAgg extends Aggregator[Array[Double], Pool, Pool] {
     override def zero: Pool = Pool.empty
-    override def reduce(b: Pool, m: MentionEmb): Pool = b.add(m.emb)
+    override def reduce(b: Pool, emb: Array[Double]): Pool = b.add(emb)
     override def merge(a: Pool, b: Pool): Pool = a.merge(b)
     override def finish(b: Pool): Pool = b
     override def bufferEncoder: Encoder[Pool] = Encoders.product[Pool]
     override def outputEncoder: Encoder[Pool] = Encoders.product[Pool]
   }
 
+  /** One Pool per key of `ds`, summing `emb` with partial aggregation. */
+  def pools[T](ds: Dataset[T])(key: T => String, emb: T => Array[Double]): Dataset[(String, Pool)] = {
+    val spark = ds.sparkSession
+    import spark.implicits._
+    ds.groupByKey(key).mapValues(emb).agg(new PoolAgg().toColumn.name("pool"))
+  }
+
   /** Global candidate embeddings: one CandidateRecord per candidate key. */
   def pool(mentions: Dataset[MentionEmb]): Dataset[CandidateRecord] = {
     val spark = mentions.sparkSession
     import spark.implicits._
-    mentions
-      .groupByKey(_.key)
-      .agg(new PoolAgg().toColumn.name("pool"))
-      .map { case (key, p) => CandidateRecord(key, p.count, p.mean) }
+    pools(mentions)(_.key, _.emb).map { case (key, p) => CandidateRecord(key, p.count, p.mean) }
   }
 }

@@ -11,6 +11,11 @@ import repro.emd.{LocalEmd, TokenEmbedder}
   *   candidate embeddings → global pooling (CandidateBase) → Entity
   *   Classifier (α/β/γ) → final entity mentions.
   *
+  * A batch run is one streaming iteration over the whole dataset on an
+  * empty CandidateBase: [[localPhase]] here, then
+  * [[StreamingGlobalizer.globalPhase]] on a fresh
+  * [[StreamingGlobalizer.State]], the same code every micro-batch runs.
+  *
   * Timing attribution follows the paper's Table III: "Local EMD time" is
   * the per-sentence EMD pass (for deep systems this includes generating the
   * entity-aware token embeddings for every sentence token — the dominant
@@ -31,9 +36,7 @@ object Globalizer {
                              finalSpans: DataFrame,
                              localEval: EvalCounts,
                              globalEval: EvalCounts,
-                             timings: Timings) {
-    def labelOf(score: Double): Int = EntityClassifier.bandOf(score)
-  }
+                             timings: Timings)
 
   private def now(): Long = System.nanoTime()
   private def secs(from: Long, to: Long): Double = (to - from) / 1e9
@@ -107,23 +110,15 @@ object Globalizer {
     val t0 = now()
     val localDets = localPhase(tweets, system, spec, chargeEmbeddingCost)
     val t1 = now()
-
-    val trie = spark.sparkContext.broadcast(CTrie.fromKeys(seedKeys(localDets)))
-    val mentions = MentionExtractor
-      .mine(tweets, trie, system, spec.seed, phraseEmbedder)
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    mentions.count()
-    val records = GlobalPooling.pool(mentions).collect().toSeq
-    val scored = records.map(r => (r, clf.score(r)))
-    val bands = scored.map { case (r, s) => r.key -> EntityClassifier.bandOf(s) }.toMap
-    val finalSpans = assembleOutput(mentions, localDets, bands).cache()
-    finalSpans.count()
+    val global = StreamingGlobalizer.globalPhase(tweets, localDets, spec, system, clf, phraseEmbedder,
+      new StreamingGlobalizer.State)
     val t2 = now()
 
     val localEval  = Metrics.evaluate(Metrics.detectionSpans(localDets), tweets)
-    val globalEval = Metrics.evaluate(finalSpans, tweets)
+    val globalEval = Metrics.evaluate(global.spans, tweets)
+    tweets.unpersist()
 
-    RunOutput(localDets, mentions, scored, finalSpans, localEval, globalEval,
+    RunOutput(localDets, global.mentions, global.scored, global.spans, localEval, globalEval,
       Timings(secs(t0, t1), secs(t1, t2)))
   }
 }

@@ -45,6 +45,7 @@ object Metrics {
     val nPred = pred.count()
     val nGold = g.count()
     pred.unpersist()
+    g.unpersist()
     EvalCounts(tp, nPred - tp, nGold - tp)
   }
 

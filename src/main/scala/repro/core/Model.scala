@@ -35,9 +35,5 @@ object Detection {
   def keyOf(surface: String): String = surface.toLowerCase
 }
 
-/** A candidate mention found by occurrence mining during Global EMD. */
-case class Mention(dataset: String, tweetId: Long, sentId: Int, start: Int, len: Int,
-                   key: String, surface: String)
-
 /** A candidate's global record: pooled embedding over all its mentions. */
 case class CandidateRecord(key: String, mentionCount: Long, pooled: Array[Double])

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.storage.StorageLevel
 import repro.data.TweetGen
 import repro.emd.LocalEmd
 
@@ -15,11 +16,13 @@ import scala.collection.mutable
   *   - per-candidate running (count, sum) pools, merged batch by batch —
   *     the "incrementally updated global embedding" of Sec. V.
   *
-  * `processBatch` is the single iteration used both by the driver-side
-  * batch loop and by the Structured Streaming `foreachBatch` sink in
-  * [[StreamingGlobalizer.runStream]]: windowed occurrence mining over the
-  * current micro-batch against the cumulative CTrie, followed by
-  * classification of all candidates under their updated global embeddings.
+  * An iteration is Local EMD on the batch followed by [[globalPhase]]: the
+  * batch is mined against the cumulative CTrie and every candidate is
+  * classified under its updated global embedding. `globalPhase` is the only
+  * copy of that chain. [[processBatch]] runs it for the driver-side loop
+  * [[runBatched]] and for the Structured Streaming `foreachBatch` sink of
+  * [[runStream]]; the batch pipeline [[Globalizer.run]] is one iteration
+  * over the whole dataset on a fresh `State`.
   */
 object StreamingGlobalizer {
 
@@ -37,6 +40,39 @@ object StreamingGlobalizer {
       }
   }
 
+  /** What the global half of an iteration returns: the batch's mined
+    * mentions and final spans (both cached), and every candidate of the
+    * state with its classifier score.
+    */
+  final case class GlobalOutput(mentions: Dataset[MentionEmb],
+                                scored: Seq[(CandidateRecord, Double)],
+                                spans: DataFrame)
+
+  /** The global half of one iteration over `batch`, given its local
+    * detections: register the seed candidates, mine the batch against the
+    * cumulative CTrie, merge the batch's pools into `state`, score every
+    * candidate and assemble the batch's output spans.
+    */
+  def globalPhase(batch: Dataset[Tweet],
+                  localDets: Dataset[Detection],
+                  spec: TweetGen.Spec,
+                  system: LocalEmd,
+                  clf: EntityClassifier,
+                  phraseEmbedder: Option[PhraseEmbedder],
+                  state: State): GlobalOutput = {
+    state.keys ++= Globalizer.seedKeys(localDets)
+    val trie = batch.sparkSession.sparkContext.broadcast(CTrie.fromKeys(state.keys))
+    val mentions = MentionExtractor.mine(batch, trie, system, spec.seed, phraseEmbedder)
+      .persist(StorageLevel.MEMORY_AND_DISK)
+    mentions.count()
+    state.mergeBatchPools(GlobalPooling.pools(mentions)(_.key, _.emb).collect().toSeq)
+    val scored = state.records.map(r => (r, clf.score(r)))
+    val bands = scored.map { case (r, s) => r.key -> EntityClassifier.bandOf(s) }.toMap
+    val spans = Globalizer.assembleOutput(mentions, localDets, bands).cache()
+    spans.count()
+    GlobalOutput(mentions, scored, spans)
+  }
+
   /** One framework iteration over a micro-batch; returns the batch's final
     * entity-mention spans (tweetId, sentId, start, len).
     */
@@ -46,34 +82,11 @@ object StreamingGlobalizer {
                    clf: EntityClassifier,
                    phraseEmbedder: Option[PhraseEmbedder],
                    state: State): DataFrame = {
-    val spark = batch.sparkSession
-    import spark.implicits._
-
-    // (1) Local EMD on the batch; register new seed candidates.
     val localDets = Globalizer.localPhase(batch, system, spec, chargeEmbeddingCost = false)
-    state.keys ++= Globalizer.seedKeys(localDets)
-
-    // (2) Occurrence mining of the batch against the cumulative CTrie.
-    val trie = spark.sparkContext.broadcast(CTrie.fromKeys(state.keys))
-    val mentions = MentionExtractor.mine(batch, trie, system, spec.seed, phraseEmbedder).cache()
-    mentions.count()
-
-    // (3) Incremental global embeddings: merge the batch's partial pools.
-    val batchPools = mentions
-      .groupByKey(_.key)
-      .agg(new GlobalPooling.PoolAgg().toColumn.name("pool"))
-      .collect()
-      .toSeq
-    state.mergeBatchPools(batchPools)
-
-    // (4) Classify every candidate under its updated global embedding and
-    //     emit this batch's mentions.
-    val bands = state.records.map(r => r.key -> EntityClassifier.bandOf(clf.score(r))).toMap
-    val out = Globalizer.assembleOutput(mentions, localDets, bands).cache()
-    out.count()
-    mentions.unpersist()
+    val out = globalPhase(batch, localDets, spec, system, clf, phraseEmbedder, state)
+    out.mentions.unpersist()
     localDets.unpersist()
-    out
+    out.spans
   }
 
   /** Drive a whole dataset through the framework in `nBatches` sequential

@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.baseline.HireNer
 import repro.core._
 import repro.data.TweetGen

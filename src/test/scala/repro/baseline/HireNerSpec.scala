@@ -45,7 +45,6 @@ class HireNerSpec extends SparkSpec {
   }
 
   test("globalMemory mean equals the hand-computed mean for one token type") {
-    import spark.implicits._
     val tweets = TweetGen.generate(spark, spec)
     val occ = HireNer.tokenOccurrences(tweets, Aguilar.dim, Aguilar.params.salt, spec.seed)
     val mem = HireNer.globalMemory(occ)
@@ -71,14 +70,12 @@ class HireNerSpec extends SparkSpec {
   }
 
   test("HIRE-NER achieves non-trivial EMD quality") {
-    import spark.implicits._
     val tweets = TweetGen.generate(spark, spec)
     val eval = Metrics.evaluate(HireNer.run(spark, spec, Aguilar, decoder), tweets)
     assert(eval.f1 > 0.3, s"HIRE-NER f1=${eval.f1}")
   }
 
   test("EMD Globalizer beats HIRE-NER on the dev stream (Table IV shape)") {
-    import spark.implicits._
     val tweets = TweetGen.generate(spark, spec)
     val hire = Metrics.evaluate(HireNer.run(spark, spec, Aguilar, decoder), tweets)
     val trained = TestFixtures.trained(spark, Aguilar)

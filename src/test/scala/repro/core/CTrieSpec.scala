@@ -74,7 +74,6 @@ class CTrieSpec extends AnyFunSuite {
 
   test("scan backtracks to the last terminal on a non-terminal longer path") {
     // Path "new york city" exists; "new york" is the only terminal prefix.
-    val t = trie("new york")
     val extended = new CTrie
     extended.insertString("new york")
     extended.insertString("new york city council")

@@ -6,7 +6,7 @@ class GlobalPoolingSpec extends SparkSpec {
 
   import GlobalPooling.Pool
 
-  private def m(key: String, emb: Array[Double], tweetId: Long = 0L, start: Int = 0): MentionEmb =
+  private def m(key: String, emb: Array[Double], tweetId: Long, start: Int = 0): MentionEmb =
     MentionEmb("T", tweetId, 0, start, 1, key, key, emb)
 
   test("empty pool add clones the embedding") {

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestFixtures}
 import repro.data.TweetGen
-import repro.emd.{Aguilar, NpChunker}
+import repro.emd.{Aguilar, BerTweet, NpChunker, TwitterNlp}
 
 /** End-to-end integration tests of the batch pipeline on a small stream,
   * covering the paper's three Global EMD objectives (false-negative
@@ -69,7 +69,6 @@ class GlobalizerSpec extends SparkSpec {
   }
 
   test("ablation ordering (Fig. 6): local ≤ local+mention-extraction ≤ full framework on recall") {
-    import spark.implicits._
     val tweets = TweetGen.generate(spark, spec)
     val localR = runAguilar.localEval.recall
     // Mention extraction alone: treat every candidate as an entity (α).
@@ -85,7 +84,6 @@ class GlobalizerSpec extends SparkSpec {
   }
 
   test("β-labelled candidates are fully removed from the output") {
-    import spark.implicits._
     val betaKeys = runAguilar.scored.collect {
       case (r, s) if EntityClassifier.bandOf(s) == EntityClassifier.Beta => r.key
     }.toSet
@@ -100,7 +98,6 @@ class GlobalizerSpec extends SparkSpec {
   }
 
   test("α-labelled candidates contribute all their mined mentions") {
-    import spark.implicits._
     val alphaKeys = runAguilar.scored.collect {
       case (r, s) if EntityClassifier.bandOf(s) == EntityClassifier.Alpha => r.key
     }.toSet
@@ -113,7 +110,6 @@ class GlobalizerSpec extends SparkSpec {
   }
 
   test("γ-labelled candidates keep only their local detections") {
-    import spark.implicits._
     val gammaKeys = runAguilar.scored.collect {
       case (r, s) if EntityClassifier.bandOf(s) == EntityClassifier.Gamma => r.key
     }.toSet
@@ -163,6 +159,31 @@ class GlobalizerSpec extends SparkSpec {
     assert(runAguilar.timings.localSec >= 0)
     assert(runAguilar.timings.globalOverheadSec > 0)
     assert(runAguilar.timings.totalSec >= runAguilar.timings.localSec)
+  }
+
+  test("DevStream evaluation counts are pinned for every system (D5Mini models)") {
+    // (tp, fp, fn) of Local EMD and of the full framework.
+    val golden = Seq(
+      NpChunker  -> ((EvalCounts(307, 534, 280), EvalCounts(339, 100, 248))),
+      TwitterNlp -> ((EvalCounts(194, 156, 393), EvalCounts(276, 70, 311))),
+      Aguilar    -> ((EvalCounts(238, 94, 349), EvalCounts(266, 48, 321))),
+      BerTweet   -> ((EvalCounts(274, 136, 313), EvalCounts(357, 94, 230))))
+    golden.foreach { case (system, (local, global)) =>
+      val t = TestFixtures.trained(spark, system)
+      val out = Globalizer.run(spark, spec, system, t.classifier, t.phraseEmbedder,
+        chargeEmbeddingCost = false)
+      assert((out.localEval, out.globalEval) == ((local, global)), system.name)
+      Seq(out.localDets, out.mentions, out.finalSpans).foreach(_.unpersist())
+    }
+  }
+
+  test("a run leaves cached only the Datasets it returns") {
+    val sc = spark.sparkContext
+    val clf = trainedChunker.classifier
+    val before = sc.getPersistentRDDs.size
+    val out = Globalizer.run(spark, spec, NpChunker, clf, None, chargeEmbeddingCost = false)
+    Seq(out.localDets, out.mentions, out.finalSpans).foreach(_.unpersist())
+    assert(sc.getPersistentRDDs.size == before)
   }
 
   test("run is deterministic in evaluation counts") {

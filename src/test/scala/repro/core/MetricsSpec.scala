@@ -73,7 +73,6 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("TP counting agrees with the DuckDB oracle on a real local run") {
-    import spark.implicits._
     val spec = TweetGen.DevStream
     val tweets = TweetGen.generate(spark, spec)
     val predDf = Metrics.detectionSpans(Aguilar.detectAll(tweets, spec))

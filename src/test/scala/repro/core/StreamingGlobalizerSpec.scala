@@ -18,9 +18,20 @@ class StreamingGlobalizerSpec extends SparkSpec {
   test("a single micro-batch equals the batch pipeline output") {
     val batchRun = Globalizer.run(spark, spec, Aguilar, trained.classifier,
       trained.phraseEmbedder, chargeEmbeddingCost = false)
-    val (streamOut, _) = StreamingGlobalizer.runBatched(
+    val (streamOut, state) = StreamingGlobalizer.runBatched(
       spark, spec, Aguilar, trained.classifier, trained.phraseEmbedder, nBatches = 1)
     assert(spans(streamOut) == spans(batchRun.finalSpans))
+
+    val batchScored = batchRun.scored.map { case (r, s) => r.key -> ((r, s)) }.toMap
+    val streamScored = state.records.map(r => r.key -> ((r, trained.classifier.score(r)))).toMap
+    assert(streamScored.keySet == batchScored.keySet)
+    streamScored.foreach { case (k, (r, s)) =>
+      val (b, bs) = batchScored(k)
+      assert(r.mentionCount == b.mentionCount, k)
+      assert(EntityClassifier.bandOf(s) == EntityClassifier.bandOf(bs), k)
+      assert(r.pooled.length == b.pooled.length, k)
+      r.pooled.zip(b.pooled).foreach { case (x, y) => assert(math.abs(x - y) < 1e-9, k) }
+    }
   }
 
   test("multi-batch state accumulates every batch's candidates") {
@@ -67,7 +78,6 @@ class StreamingGlobalizerSpec extends SparkSpec {
   }
 
   test("multi-batch recall is close to (and never far above) batch recall") {
-    import spark.implicits._
     val tweets = TweetGen.generate(spark, spec)
     val batchRun = Globalizer.run(spark, spec, Aguilar, trained.classifier,
       trained.phraseEmbedder, chargeEmbeddingCost = false)

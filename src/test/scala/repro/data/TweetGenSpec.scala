@@ -90,7 +90,6 @@ class TweetGenSpec extends SparkSpec {
   }
 
   test("capitalization variants all occur in a streaming dataset") {
-    val spec = TweetGen.DevStream
     val variants = devLocal.flatMap { t =>
       t.gold.map { g =>
         val mention = t.tokens.slice(g.start, g.start + g.len)

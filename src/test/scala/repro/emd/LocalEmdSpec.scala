@@ -100,7 +100,6 @@ class LocalEmdSpec extends SparkSpec {
     // On a single small stream the Aguilar-vs-BERTweet gap is within noise;
     // the strict ordering (Aguilar best on average) is asserted in
     // bench/Table3Bench over all six evaluation datasets.
-    import spark.implicits._
     val ds = TweetGen.generate(spark, spec)
     val f1s = LocalEmd.all.map { sys =>
       val dets = sys.detectAll(ds, spec)
@@ -113,7 +112,6 @@ class LocalEmdSpec extends SparkSpec {
   }
 
   test("NP Chunker has the worst local precision (paper ordering)") {
-    import spark.implicits._
     val ds = TweetGen.generate(spark, spec)
     val ps = LocalEmd.all.map { sys =>
       val dets = sys.detectAll(ds, spec)
@@ -129,7 +127,6 @@ class LocalEmdSpec extends SparkSpec {
   }
 
   test("detectAll on Spark equals per-tweet local detection") {
-    import spark.implicits._
     val ds = TweetGen.generate(spark, spec)
     val dist = Aguilar.detectAll(ds, spec).collect().toSet
     assert(dist == localDetections(Aguilar).toSet)

@@ -3,7 +3,6 @@ package repro.emd
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{GoldSpan, LureSpan, Tweet}
 import repro.nn.Net
-import repro.util.Rng
 
 class TokenEmbedderSpec extends AnyFunSuite {
 
