@@ -42,7 +42,7 @@ object HireNer {
     tweets.flatMap { t =>
       t.tokens.indices.map { p =>
         val inGold = t.gold.exists(g => p >= g.start && p < g.start + g.len)
-        TokenOcc(t.tweetId, t.sentId, p, t.tokens(p).toLowerCase,
+        TokenOcc(t.tweetId, t.sentId, p, t.tokens(p).toLowerCase(java.util.Locale.ROOT),
           TokenEmbedder.tokenEmbedding(dim, salt, datasetSeed, t, p), inGold)
       }
     }

@@ -30,7 +30,7 @@ final class CTrie extends Serializable {
   /** Number of distinct candidates in the forest. */
   def size: Int = nCandidates
 
-  private def normalize(token: String): String = token.toLowerCase
+  private def normalize(token: String): String = token.toLowerCase(java.util.Locale.ROOT)
 
   /** Insert a candidate given its token sequence. Case-insensitive; empty
     * sequences are ignored. Returns true if the candidate was new.

@@ -114,8 +114,8 @@ object Globalizer {
       new StreamingGlobalizer.State)
     val t2 = now()
 
-    val localEval  = Metrics.evaluate(Metrics.detectionSpans(localDets), tweets)
-    val globalEval = Metrics.evaluate(global.spans, tweets)
+    val Seq(localEval, globalEval) =
+      Metrics.evaluateAll(Seq(localDets.toDF(), global.spans), Metrics.goldRows(tweets))
     tweets.unpersist()
 
     RunOutput(localDets, global.mentions, global.scored, global.spans, localEval, globalEval,

@@ -32,7 +32,7 @@ case class Detection(dataset: String, tweetId: Long, sentId: Int, start: Int, le
 }
 
 object Detection {
-  def keyOf(surface: String): String = surface.toLowerCase
+  def keyOf(surface: String): String = surface.toLowerCase(java.util.Locale.ROOT)
 }
 
 /** A candidate's global record: pooled embedding over all its mentions. */

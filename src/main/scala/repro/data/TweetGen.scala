@@ -1,5 +1,6 @@
 package repro.data
 
+import java.util.Locale
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.{GoldSpan, LureSpan, Tweet}
 import repro.util.Rng
@@ -91,16 +92,16 @@ object TweetGen {
 
   /** Realize a mention's surface tokens from its canonical form and variant draw. */
   private def realizeMention(canonical: IndexedSeq[String], u: Double): IndexedSeq[String] = {
-    if (u < 0.65) canonical                                   // proper capitalization
-    else if (u < 0.83) canonical.map(_.toLowerCase)           // no capitalization
-    else if (u < 0.93) canonical.map(_.toUpperCase)           // full capitalization
-    else if (canonical.length > 1)                            // substring capitalization
-      canonical.head +: canonical.tail.map(_.toLowerCase)
+    if (u < 0.65) canonical                                        // proper capitalization
+    else if (u < 0.83) canonical.map(_.toLowerCase(Locale.ROOT))   // no capitalization
+    else if (u < 0.93) canonical.map(_.toUpperCase(Locale.ROOT))   // full capitalization
+    else if (canonical.length > 1)                                 // substring capitalization
+      canonical.head +: canonical.tail.map(_.toLowerCase(Locale.ROOT))
     else canonical
   }
 
   private def realizeLure(canonical: IndexedSeq[String], u: Double): IndexedSeq[String] =
-    if (u < 0.35) canonical else canonical.map(_.toLowerCase)
+    if (u < 0.35) canonical else canonical.map(_.toLowerCase(Locale.ROOT))
 
   private def fillerToken(spec: Spec, tweetId: Long, salt: Long): String =
     if (Rng.unif(spec.seed, tweetId, salt, 1L) < 0.40)
@@ -159,8 +160,8 @@ object TweetGen {
     appendFillers(1 + Rng.int(3, spec.seed, tweetId, 80L), 81L) // 1..3 trailing fillers
 
     val styled: Seq[String] = style match {
-      case Style.AllCaps  => tokens.toSeq.map(_.toUpperCase)
-      case Style.AllLower => tokens.toSeq.map(_.toLowerCase)
+      case Style.AllCaps  => tokens.toSeq.map(_.toUpperCase(Locale.ROOT))
+      case Style.AllLower => tokens.toSeq.map(_.toLowerCase(Locale.ROOT))
       case Style.TitleAll => tokens.toSeq.map(Vocab.capitalize)
       case _              => tokens.toSeq
     }

@@ -1,5 +1,6 @@
 package repro.data
 
+import java.util.Locale
 import repro.util.Rng
 
 /** Synthetic vocabulary for tweet generation.
@@ -38,7 +39,7 @@ object Vocab {
   }
 
   def capitalize(w: String): String =
-    if (w.isEmpty) w else w.substring(0, 1).toUpperCase + w.substring(1)
+    if (w.isEmpty) w else w.substring(0, 1).toUpperCase(Locale.ROOT) + w.substring(1)
 
   /** Number of distinct filler words available. */
   val nFiller: Int = 400
@@ -91,5 +92,5 @@ object Vocab {
   }
 
   /** Lower-cased candidate key of a token sequence. */
-  def keyOf(tokens: Seq[String]): String = tokens.map(_.toLowerCase).mkString(" ")
+  def keyOf(tokens: Seq[String]): String = tokens.map(_.toLowerCase(Locale.ROOT)).mkString(" ")
 }

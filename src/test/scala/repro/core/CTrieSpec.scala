@@ -1,6 +1,8 @@
 package repro.core
 
+import java.util.Locale
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.Vocab
 import repro.util.Rng
 
 class CTrieSpec extends AnyFunSuite {
@@ -60,6 +62,16 @@ class CTrieSpec extends AnyFunSuite {
   test("scan is case-insensitive") {
     val t = trie("coronavirus")
     assert(t.scan(IndexedSeq("CORONAVIRUS", "hits", "Coronavirus")) == Seq((0, 1), (2, 1)))
+  }
+
+  test("case folding does not depend on the JVM default locale") {
+    val saved = Locale.getDefault
+    Locale.setDefault(Locale.forLanguageTag("tr")) // "I" lower-cases to dotless "ı" here
+    try {
+      assert(Detection.keyOf("IRAN") == Detection.keyOf("iran"))
+      assert(Vocab.keyOf(Seq("IRAN")) == "iran")
+      assert(trie("iran").scan(IndexedSeq("visit", "IRAN")) == Seq((1, 1)))
+    } finally Locale.setDefault(saved)
   }
 
   test("scan prefers the longest match (partial-extraction correction)") {

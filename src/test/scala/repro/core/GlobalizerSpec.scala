@@ -177,6 +177,14 @@ class GlobalizerSpec extends SparkSpec {
     }
   }
 
+  test("a run's local and global scores equal separate evaluate calls") {
+    val tweets = TweetGen.generate(spark, spec)
+    Seq(runAguilar, runChunker).foreach { out =>
+      assert(out.localEval == Metrics.evaluate(Metrics.detectionSpans(out.localDets), tweets))
+      assert(out.globalEval == Metrics.evaluate(out.finalSpans, tweets))
+    }
+  }
+
   test("a run leaves cached only the Datasets it returns") {
     val sc = spark.sparkContext
     val clf = trainedChunker.classifier

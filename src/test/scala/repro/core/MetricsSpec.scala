@@ -1,10 +1,27 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Join}
+import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
 import repro.data.TweetGen
-import repro.emd.Aguilar
+import repro.emd.{Aguilar, NpChunker}
 
 class MetricsSpec extends SparkSpec {
+
+  /** Asserts `e` equals DuckDB's count of `pred`'s distinct spans against `gold`'s. */
+  private def assertOracle(e: EvalCounts, pred: DataFrame, gold: DataFrame): Unit = {
+    import spark.implicits._
+    val cols = Metrics.SpanCols.mkString(", ")
+    Oracle.assertEquivalent(
+      Seq((e.tp, e.fp, e.fn)).toDF("tp", "fp", "fn"),
+      s"""WITH p AS (SELECT DISTINCT $cols FROM pred), g AS (SELECT DISTINCT $cols FROM gold),
+         |     t AS (SELECT COUNT(*) AS n FROM p JOIN g USING ($cols))
+         |SELECT n AS tp, (SELECT COUNT(*) FROM p) - n AS fp, (SELECT COUNT(*) FROM g) - n AS fn
+         |FROM t""".stripMargin,
+      "pred" -> pred.select(Metrics.SpanCols.map(col): _*),
+      "gold" -> gold.select(Metrics.SpanCols.map(col): _*))
+  }
 
   test("EvalCounts precision/recall/f1 arithmetic") {
     val e = EvalCounts(tp = 6, fp = 2, fn = 4)
@@ -95,5 +112,43 @@ class MetricsSpec extends SparkSpec {
     val gold = Seq((1L, 0, 0, 1)).toDF("tweetId", "sentId", "start", "len")
     val pred = Seq((1L, 0, 0, 1), (1L, 0, 3, 1)).toDF("tweetId", "sentId", "start", "len")
     assert(Metrics.evaluateAgainst(pred, gold) == EvalCounts(1, 1, 0))
+  }
+
+  test("evaluateAll scores two predictions in one call, each as DuckDB counts it") {
+    val spec = TweetGen.DevStream
+    val tweets = TweetGen.generate(spark, spec)
+    val preds = Seq(Aguilar, NpChunker).map(s => Metrics.detectionSpans(s.detectAll(tweets, spec)))
+    val gold = Metrics.goldSpans(tweets)
+    val evals = Metrics.evaluateAll(preds, Metrics.goldRows(tweets))
+    assert(evals.size == 2 && evals(0) != evals(1))
+    preds.zip(evals).foreach { case (p, e) => assertOracle(e, p, gold) }
+  }
+
+  test("evaluateAll edge cases agree with DuckDB: empty inputs, spans repeated across and within inputs") {
+    import spark.implicits._
+    def spans(xs: (Long, Int, Int, Int)*): DataFrame = xs.toDF(Metrics.SpanCols: _*)
+    val shared = (1L, 0, 0, 1)
+    val none = spans()
+    val gold = spans(shared, shared, (2L, 0, 1, 2))
+    val a = spans(shared, shared, (1L, 0, 3, 1))
+    val b = spans(shared, shared, shared)
+    val cases = Seq(
+      (Seq(a, b, none), gold) -> Seq(EvalCounts(1, 1, 1), EvalCounts(1, 0, 1), EvalCounts(0, 0, 2)),
+      (Seq(a, b), none)       -> Seq(EvalCounts(0, 2, 0), EvalCounts(0, 1, 0)),
+      (Seq(none), none)       -> Seq(EvalCounts(0, 0, 0)))
+    cases.foreach { case ((preds, g), expected) =>
+      val got = Metrics.evaluateAll(preds, g)
+      assert(got == expected)
+      preds.zip(got).foreach { case (p, e) => assertOracle(e, p, g) }
+    }
+  }
+
+  test("the evaluation query is one group-by and a total, with no join") {
+    val spec = TweetGen.DevStream
+    val tweets = TweetGen.generate(spark, spec)
+    val dets = Aguilar.detectAll(tweets, spec).toDF()
+    val plan = Metrics.counts(Seq(dets, dets), Metrics.goldRows(tweets)).queryExecution.optimizedPlan
+    assert(plan.collect { case j: Join => j }.isEmpty, plan)
+    assert(plan.collect { case a: Aggregate => a }.size == 2, plan)
   }
 }
