@@ -68,7 +68,7 @@ final class CTrie extends Serializable {
     contains(s.split("\\s+").toIndexedSeq.filter(_.nonEmpty))
 
   /** All registered candidate keys (lower-cased, space-joined). Driver-side,
-    * for tests and incremental-state snapshots.
+    * for tests.
     */
   def keys: Seq[String] = {
     val out = mutable.ArrayBuffer.empty[String]

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
 import repro.data.TweetGen
 import repro.emd.{LocalEmd, TokenEmbedder}
@@ -58,7 +59,8 @@ object Globalizer {
       val dim = system.dim
       val salt = system.params.salt
       val dsSeed = spec.seed
-      // Force the full-stream embedding pass; the checksum defeats laziness.
+      // Force the full-stream embedding pass; the checksum defeats laziness,
+      // and a sum (unlike a reduce) is defined on an empty batch.
       tweets.map { t =>
         var s = 0.0
         t.tokens.indices.foreach { p =>
@@ -66,7 +68,7 @@ object Globalizer {
           s += e(0) + e(dim - 1)
         }
         s
-      }.reduce(_ + _)
+      }.rdd.sum()
     }
     dets
   }
@@ -80,19 +82,17 @@ object Globalizer {
 
   /** Final output assembly from classifier bands:
     * α → all mined mentions of the candidate; γ → only Local EMD's own
-    * detections of it; β → nothing.
+    * detections of it; β → nothing. One `distinct` over both deduplicates
+    * the spans.
     */
   def assembleOutput(mentions: Dataset[MentionEmb],
                      localDets: Dataset[Detection],
                      bands: Map[String, Int]): DataFrame = {
-    val spark = mentions.sparkSession
-    val alpha = spark.sparkContext.broadcast(
-      bands.collect { case (k, EntityClassifier.Alpha) => k }.toSet)
-    val gamma = spark.sparkContext.broadcast(
-      bands.collect { case (k, EntityClassifier.Gamma) => k }.toSet)
-    val alphaSpans = Metrics.mentionSpans(mentions.filter(m => alpha.value.contains(m.key)))
-    val gammaSpans = Metrics.detectionSpans(localDets.filter(d => gamma.value.contains(d.key)))
-    alphaSpans.union(gammaSpans).distinct()
+    val band = mentions.sparkSession.sparkContext.broadcast(bands)
+    val spanCols = Metrics.SpanCols.map(col)
+    val alpha = mentions.filter(m => band.value.get(m.key).contains(EntityClassifier.Alpha))
+    val gamma = localDets.filter(d => band.value.get(d.key).contains(EntityClassifier.Gamma))
+    alpha.select(spanCols: _*).union(gamma.select(spanCols: _*)).distinct()
   }
 
   /** One full pipeline run over a dataset with a trained classifier (and,

@@ -69,11 +69,4 @@ object Metrics {
     import spark.implicits._
     dets.map(d => (d.tweetId, d.sentId, d.start, d.len)).toDF(SpanCols: _*).distinct()
   }
-
-  /** Mentions → span DataFrame. */
-  def mentionSpans(ms: Dataset[MentionEmb]): DataFrame = {
-    val spark = ms.sparkSession
-    import spark.implicits._
-    ms.map(m => (m.tweetId, m.sentId, m.start, m.len)).toDF(SpanCols: _*).distinct()
-  }
 }

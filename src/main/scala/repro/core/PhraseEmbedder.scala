@@ -27,12 +27,12 @@ final class PhraseEmbedder(val inDim: Int, val outDim: Int, seed: Long) extends 
     if (pairs.isEmpty) 0.0
     else pairs.map(p => { val d = similarity(p.a, p.b) - p.sim; d * d }).sum / pairs.size
 
-  /** Accumulate grads for one pair; returns its squared error. */
-  private def backwardPair(p: PhraseEmbedder.Pair): Double = {
+  /** Accumulate grads for one pair. */
+  private def backwardPair(p: PhraseEmbedder.Pair): Unit = {
     val pa = dense.forward(p.a)
     val pb = dense.forward(p.b)
     val na = Net.norm(pa); val nb = Net.norm(pb)
-    if (na < 1e-12 || nb < 1e-12) return 0.0
+    if (na < 1e-12 || nb < 1e-12) return
     val c  = Net.dot(pa, pb) / (na * nb)
     val dc = 2.0 * (c - p.sim)
     val dpa = Array.tabulate(outDim)(i => dc * (pb(i) / (na * nb) - c * pa(i) / (na * na)))
@@ -40,11 +40,9 @@ final class PhraseEmbedder(val inDim: Int, val outDim: Int, seed: Long) extends 
     // Shared (mirrored) weights: both sides accumulate into the same layer.
     dense.backward(p.a, dpa)
     dense.backward(p.b, dpb)
-    val d = c - p.sim
-    d * d
   }
 
-  /** Train with Adam + early stopping on validation MSE; restores the best
+  /** Train with [[repro.nn.Adam.fit]] on validation MSE; restores the best
     * weights and returns the best validation loss.
     */
   def fit(train: IndexedSeq[PhraseEmbedder.Pair],
@@ -55,33 +53,8 @@ final class PhraseEmbedder(val inDim: Int, val outDim: Int, seed: Long) extends 
           patience: Int = 10,
           seed: Long = 13L): Double = {
     require(train.nonEmpty, "empty STS training set")
-    val adam = new Adam(dense.params, lr)
-    val bestW = dense.w.clone(); val bestB = dense.b.clone()
-    var bestLoss = loss(valid)
-    var sinceBest = 0
-    var epoch = 0
-    while (epoch < maxEpochs && sinceBest < patience) {
-      val order = train.indices.sortBy(i => Rng.hash(seed, epoch.toLong, i.toLong))
-      var start = 0
-      while (start < train.size) {
-        val end = math.min(train.size, start + batchSize)
-        dense.zeroGrad()
-        (start until end).foreach(i => backwardPair(train(order(i))))
-        adam.step(end - start)
-        start = end
-      }
-      val vl = loss(valid)
-      if (vl < bestLoss - 1e-7) {
-        bestLoss = vl
-        System.arraycopy(dense.w, 0, bestW, 0, bestW.length)
-        System.arraycopy(dense.b, 0, bestB, 0, bestB.length)
-        sinceBest = 0
-      } else sinceBest += 1
-      epoch += 1
-    }
-    System.arraycopy(bestW, 0, dense.w, 0, bestW.length)
-    System.arraycopy(bestB, 0, dense.b, 0, bestB.length)
-    bestLoss
+    Adam.fit(dense.params, train.size, lr, batchSize, maxEpochs, patience, minGain = 1e-7, seed)(
+      i => backwardPair(train(i)), () => loss(valid))
   }
 }
 

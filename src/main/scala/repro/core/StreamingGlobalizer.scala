@@ -29,15 +29,31 @@ object StreamingGlobalizer {
   /** Mutable cross-batch state (driver-held; candidate counts are small). */
   final class State {
     val keys: mutable.Set[String] = mutable.Set.empty
-    val pools: mutable.Map[String, GlobalPooling.Pool] = mutable.Map.empty
+    val pools: mutable.LinkedHashMap[String, GlobalPooling.Pool] = mutable.LinkedHashMap.empty
 
+    /** Every candidate with its finished pool, in first-seen order. */
     def records: Seq[CandidateRecord] =
       pools.toSeq.map { case (k, p) => CandidateRecord(k, p.count, p.mean) }
 
-    def mergeBatchPools(batch: Seq[(String, GlobalPooling.Pool)]): Unit =
-      batch.foreach { case (k, p) =>
+    /** The CandidateBase update of one iteration: register the batch's seed
+      * candidates, mine the batch against the cumulative CTrie and merge the
+      * batch's pools. Returns the batch's mined mentions, cached.
+      */
+    def absorb(batch: Dataset[Tweet],
+               localDets: Dataset[Detection],
+               spec: TweetGen.Spec,
+               system: LocalEmd,
+               phraseEmbedder: Option[PhraseEmbedder]): Dataset[MentionEmb] = {
+      keys ++= Globalizer.seedKeys(localDets)
+      val trie = batch.sparkSession.sparkContext.broadcast(CTrie.fromKeys(keys))
+      val mentions = MentionExtractor.mine(batch, trie, system, spec.seed, phraseEmbedder)
+        .persist(StorageLevel.MEMORY_AND_DISK)
+      // The collect also fills the mentions' cache.
+      GlobalPooling.pools(mentions)(_.key, _.emb).collect().foreach { case (k, p) =>
         pools.update(k, pools.getOrElse(k, GlobalPooling.Pool.empty).merge(p))
       }
+      mentions
+    }
   }
 
   /** What the global half of an iteration returns: the batch's mined
@@ -49,9 +65,8 @@ object StreamingGlobalizer {
                                 spans: DataFrame)
 
   /** The global half of one iteration over `batch`, given its local
-    * detections: register the seed candidates, mine the batch against the
-    * cumulative CTrie, merge the batch's pools into `state`, score every
-    * candidate and assemble the batch's output spans.
+    * detections: update `state` with the batch ([[State.absorb]]), score
+    * every candidate and assemble the batch's output spans.
     */
   def globalPhase(batch: Dataset[Tweet],
                   localDets: Dataset[Detection],
@@ -60,12 +75,7 @@ object StreamingGlobalizer {
                   clf: EntityClassifier,
                   phraseEmbedder: Option[PhraseEmbedder],
                   state: State): GlobalOutput = {
-    state.keys ++= Globalizer.seedKeys(localDets)
-    val trie = batch.sparkSession.sparkContext.broadcast(CTrie.fromKeys(state.keys))
-    val mentions = MentionExtractor.mine(batch, trie, system, spec.seed, phraseEmbedder)
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    mentions.count()
-    state.mergeBatchPools(GlobalPooling.pools(mentions)(_.key, _.emb).collect().toSeq)
+    val mentions = state.absorb(batch, localDets, spec, system, phraseEmbedder)
     val scored = state.records.map(r => (r, clf.score(r)))
     val bands = scored.map { case (r, s) => r.key -> EntityClassifier.bandOf(s) }.toMap
     val spans = Globalizer.assembleOutput(mentions, localDets, bands).cache()
@@ -125,10 +135,7 @@ object StreamingGlobalizer {
     tweetStream.writeStream
       .outputMode("append")
       .foreachBatch { (batch: Dataset[Tweet], batchId: Long) =>
-        if (!batch.isEmpty) {
-          val out = processBatch(batch, spec, system, clf, phraseEmbedder, state)
-          collector(batchId, out)
-        }
+        collector(batchId, processBatch(batch, spec, system, clf, phraseEmbedder, state))
       }
       .start()
   }

@@ -41,23 +41,22 @@ object Training {
   }
 
   /** Extract labelled global candidate records from a training stream
-    * (D5 in the paper) for a system.
+    * (D5 in the paper) for a system: one pipeline iteration's local phase and
+    * CandidateBase update ([[StreamingGlobalizer.State.absorb]]) on a fresh
+    * state, in the state's first-seen order.
     */
   def d5Candidates(spark: SparkSession,
                    system: LocalEmd,
                    pe: Option[PhraseEmbedder],
                    spec: TweetGen.Spec = TweetGen.D5): Seq[(CandidateRecord, Boolean)] = {
     val tweets = TweetGen.generate(spark, spec).persist(StorageLevel.MEMORY_AND_DISK)
-    tweets.count()
     val dets = Globalizer.localPhase(tweets, system, spec, chargeEmbeddingCost = false)
-    val trie = spark.sparkContext.broadcast(CTrie.fromKeys(Globalizer.seedKeys(dets)))
-    val records = GlobalPooling.pool(
-      MentionExtractor.mine(tweets, trie, system, spec.seed, pe)).collect().toSeq
-    val entityKeys = spec.entityKeys
-    val labelled = records.map(r => (r, entityKeys.contains(r.key)))
-    tweets.unpersist()
+    val state = new StreamingGlobalizer.State
+    state.absorb(tweets, dets, spec, system, pe).unpersist()
     dets.unpersist()
-    labelled
+    tweets.unpersist()
+    val entityKeys = spec.entityKeys
+    state.records.map(r => (r, entityKeys.contains(r.key)))
   }
 
   /** Train everything needed to run the framework with `system`. */

@@ -62,11 +62,6 @@ final class Linear(val inDim: Int, val outDim: Int, seed: Long) extends Serializ
   }
 
   def params: Seq[(Array[Double], Array[Double])] = Seq((w, gw), (b, gb))
-
-  def copyWeightsFrom(other: Linear): Unit = {
-    System.arraycopy(other.w, 0, w, 0, w.length)
-    System.arraycopy(other.b, 0, b, 0, b.length)
-  }
 }
 
 /** Adam optimizer over a set of (param, grad) array pairs (Kingma & Ba). */
@@ -95,6 +90,56 @@ final class Adam(paramGrads: Seq[(Array[Double], Array[Double])],
         i += 1
       }
     }
+  }
+}
+
+object Adam {
+
+  /** Mini-batch Adam with early stopping on validation loss, the training
+    * recipe of both learned components. Each epoch visits the `n` training
+    * examples in a deterministic shuffle of `seed`; `accumulate(i)` adds the
+    * gradients of example `i` to the grad arrays of `paramGrads`. An epoch
+    * counts as an improvement when `validLoss()` drops by more than
+    * `minGain`; after `patience` epochs without one, training stops. The
+    * best-validation params are restored and their loss returned.
+    */
+  def fit(paramGrads: Seq[(Array[Double], Array[Double])],
+          n: Int,
+          lr: Double,
+          batchSize: Int,
+          maxEpochs: Int,
+          patience: Int,
+          minGain: Double,
+          seed: Long)(accumulate: Int => Unit, validLoss: () => Double): Double = {
+    val adam = new Adam(paramGrads, lr)
+    val params = paramGrads.map(_._1)
+    val best = params.map(_.clone())
+    def copy(from: Seq[Array[Double]], to: Seq[Array[Double]]): Unit =
+      from.zip(to).foreach { case (f, t) => System.arraycopy(f, 0, t, 0, f.length) }
+    var bestLoss = validLoss()
+    var sinceBest = 0
+    var epoch = 0
+    while (epoch < maxEpochs && sinceBest < patience) {
+      val order = (0 until n).sortBy(i => Rng.hash(seed, epoch.toLong, i.toLong))
+      var start = 0
+      while (start < n) {
+        val end = math.min(n, start + batchSize)
+        paramGrads.foreach { case (_, g) => java.util.Arrays.fill(g, 0.0) }
+        var i = start
+        while (i < end) { accumulate(order(i)); i += 1 }
+        adam.step(end - start)
+        start = end
+      }
+      val vl = validLoss()
+      if (vl < bestLoss - minGain) {
+        bestLoss = vl
+        copy(params, best)
+        sinceBest = 0
+      } else sinceBest += 1
+      epoch += 1
+    }
+    copy(best, params)
+    bestLoss
   }
 }
 
@@ -163,20 +208,17 @@ final class MlpClassifier(val dims: Array[Int], seed: Long) extends Serializable
   /** P(entity | x). */
   def predictProba(x: Array[Double]): Double = Net.sigmoid(forwardAll(x).last(0))
 
-  /** Accumulate grads for one example; returns its BCE loss. */
-  private def backwardExample(x: Array[Double], y: Double): Double = {
+  /** Accumulate grads for one example. */
+  private def backwardExample(x: Array[Double], y: Double): Unit = {
     val acts = forwardAll(x)
-    val p = Net.sigmoid(acts.last(0))
     // dL/dz for sigmoid+BCE collapses to (p - y).
-    var dOut = Array(p - y)
+    var dOut = Array(Net.sigmoid(acts.last(0)) - y)
     var l = layers.length - 1
     while (l >= 0) {
       val dIn = layers(l).backward(acts(l), dOut)
       dOut = if (l > 0) Net.reluBackward(acts(l), dIn) else dIn
       l -= 1
     }
-    val pc = math.min(1 - 1e-12, math.max(1e-12, p))
-    -(y * math.log(pc) + (1 - y) * math.log(1 - pc))
   }
 
   def loss(data: Seq[(Array[Double], Double)]): Double = {
@@ -187,11 +229,8 @@ final class MlpClassifier(val dims: Array[Int], seed: Long) extends Serializable
     }.sum / data.size
   }
 
-  def copyWeightsFrom(other: MlpClassifier): Unit =
-    layers.zip(other.layers).foreach { case (a, b) => a.copyWeightsFrom(b) }
-
-  /** Train with Adam + early stopping; restores the best-validation weights.
-    * Returns the best validation loss.
+  /** Train with [[Adam.fit]] (BCE loss); restores the best-validation
+    * weights and returns the best validation loss.
     */
   def fit(train: IndexedSeq[(Array[Double], Double)],
           valid: IndexedSeq[(Array[Double], Double)],
@@ -201,38 +240,7 @@ final class MlpClassifier(val dims: Array[Int], seed: Long) extends Serializable
           patience: Int,
           seed: Long = 7L): Double = {
     require(train.nonEmpty, "empty training set")
-    val adam = new Adam(layers.flatMap(_.params).toSeq, lr)
-    val best = new MlpClassifier(dims, seed)
-    best.copyWeightsFrom(this)
-    var bestLoss = loss(valid)
-    var sincsBest = 0
-    var epoch = 0
-    val n = train.size
-    while (epoch < maxEpochs && sincsBest < patience) {
-      // Deterministic shuffle per epoch.
-      val order = (0 until n).sortBy(i => Rng.hash(seed, epoch.toLong, i.toLong))
-      var start = 0
-      while (start < n) {
-        val end = math.min(n, start + batchSize)
-        layers.foreach(_.zeroGrad())
-        var i = start
-        while (i < end) {
-          val (x, y) = train(order(i))
-          backwardExample(x, y)
-          i += 1
-        }
-        adam.step(end - start)
-        start = end
-      }
-      val vl = loss(valid)
-      if (vl < bestLoss - 1e-6) {
-        bestLoss = vl
-        best.copyWeightsFrom(this)
-        sincsBest = 0
-      } else sincsBest += 1
-      epoch += 1
-    }
-    copyWeightsFrom(best)
-    bestLoss
+    Adam.fit(layers.toSeq.flatMap(_.params), train.size, lr, batchSize, maxEpochs, patience,
+      minGain = 1e-6, seed)(i => { val (x, y) = train(i); backwardExample(x, y) }, () => loss(valid))
   }
 }

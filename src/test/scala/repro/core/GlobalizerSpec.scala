@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.catalyst.plans.logical.Aggregate
 import repro.{SparkSpec, TestFixtures}
 import repro.data.TweetGen
 import repro.emd.{Aguilar, BerTweet, NpChunker, TwitterNlp}
@@ -192,6 +193,20 @@ class GlobalizerSpec extends SparkSpec {
     val out = Globalizer.run(spark, spec, NpChunker, clf, None, chargeEmbeddingCost = false)
     Seq(out.localDets, out.mentions, out.finalSpans).foreach(_.unpersist())
     assert(sc.getPersistentRDDs.size == before)
+  }
+
+  test("the embedding-cost pass accepts an empty batch") {
+    import spark.implicits._
+    val dets = Globalizer.localPhase(spark.emptyDataset[Tweet], Aguilar, spec, chargeEmbeddingCost = true)
+    assert(dets.count() == 0)
+    dets.unpersist()
+  }
+
+  test("output assembly is one aggregation: one shuffle for α mentions and γ detections") {
+    val bands = runChunker.scored.map { case (r, s) => r.key -> EntityClassifier.bandOf(s) }.toMap
+    val plan = Globalizer.assembleOutput(runChunker.mentions, runChunker.localDets, bands)
+      .queryExecution.optimizedPlan
+    assert(plan.collect { case a: Aggregate => a }.size == 1, plan)
   }
 
   test("run is deterministic in evaluation counts") {

@@ -64,6 +64,17 @@ class PhraseEmbedderSpec extends AnyFunSuite {
     assert(run() == run())
   }
 
+  test("fit gives pinned bits: returned loss and embedding") {
+    val salt = 0x55L
+    val train = StsGen.pairs(dim, salt, 200, 11L)
+    val valid = StsGen.pairs(dim, salt, 80, 12L)
+    val pe = new PhraseEmbedder(dim, dim, 13L)
+    val loss = pe.fit(train, valid, maxEpochs = 15, patience = 4)
+    val e = pe.embed(valid.head.a)
+    val bits = (loss +: Seq(0, 7, 31).map(e(_))).map(java.lang.Double.doubleToLongBits)
+    assert(bits == Seq(0x3fcd71e931e9dc0eL, 0x3fd000e8c50a6acaL, 0x3fd0be3de8924022L, 0xbfbad7537f99d727L))
+  }
+
   test("fit rejects an empty training set") {
     val pe = new PhraseEmbedder(dim, dim, 10L)
     intercept[IllegalArgumentException](

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.storage.StorageLevel
 import repro.{SparkSpec, TestFixtures}
 import repro.data.TweetGen
 import repro.emd.{Aguilar, NpChunker}
@@ -54,6 +55,27 @@ class TrainingSpec extends SparkSpec {
     val entMean = ent.map(x => proj(x._1)).sum / ent.size
     val nonMean = non.map(x => proj(x._1)).sum / non.size
     assert(entMean > nonMean, s"entity proj $entMean should exceed non-entity $nonMean")
+  }
+
+  test("d5Candidates equals the seeds, CTrie, mine and pool chain, in order and bitwise") {
+    val spec = TweetGen.D5Mini
+    Seq(trainedChunker, trainedAguilar).foreach { t =>
+      val tweets = TweetGen.generate(spark, spec).persist(StorageLevel.MEMORY_AND_DISK)
+      tweets.count()
+      val dets = Globalizer.localPhase(tweets, t.system, spec, chargeEmbeddingCost = false)
+      val trie = spark.sparkContext.broadcast(CTrie.fromKeys(Globalizer.seedKeys(dets)))
+      val chain = GlobalPooling.pool(
+        MentionExtractor.mine(tweets, trie, t.system, spec.seed, t.phraseEmbedder)).collect().toSeq
+      Seq(tweets, dets).foreach(_.unpersist())
+      trie.destroy()
+
+      val got = Training.d5Candidates(spark, t.system, t.phraseEmbedder, spec).map(_._1)
+      assert(got.map(_.key) == chain.map(_.key), t.system.name)
+      got.zip(chain).foreach { case (g, c) =>
+        assert(g.mentionCount == c.mentionCount, c.key)
+        assert(g.pooled.sameElements(c.pooled), c.key)
+      }
+    }
   }
 
   test("embeddingSizeLabel reflects the system") {

@@ -175,13 +175,14 @@ class NetSpec extends AnyFunSuite {
     assert(fitOne() == fitOne())
   }
 
-  test("MlpClassifier copyWeightsFrom makes networks identical") {
-    val a = new MlpClassifier(Array(3, 4, 1), 41L)
-    val b = new MlpClassifier(Array(3, 4, 1), 42L)
-    val x = Array(0.5, -0.2, 0.9)
-    assert(a.predictProba(x) != b.predictProba(x))
-    b.copyWeightsFrom(a)
-    assert(a.predictProba(x) == b.predictProba(x))
+  test("MlpClassifier fit gives pinned bits: returned loss and predictions") {
+    val train = blob(200, 0.6, 1.0, 61L) ++ blob(200, -0.6, 0.0, 62L)
+    val valid = blob(80, 0.6, 1.0, 63L) ++ blob(80, -0.6, 0.0, 64L)
+    val mlp = new MlpClassifier(Array(4, 8, 1), 65L)
+    val loss = mlp.fit(train, valid, lr = 0.01, batchSize = 16, maxEpochs = 40, patience = 5)
+    val probes = Seq(Array(0.1, 0.2, 0.3, 0.4), Array(-0.5, 0.0, 0.5, -1.0), Array(1.0, 1.0, -1.0, 0.2))
+    val bits = (loss +: probes.map(mlp.predictProba)).map(java.lang.Double.doubleToLongBits)
+    assert(bits == Seq(0x3f9cba7f9fe7eaaeL, 0x3fef3f870bc91252L, 0x3fa64ea7d5802837L, 0x3fee10f88c1f71faL))
   }
 
   test("MlpClassifier rejects empty training set") {
