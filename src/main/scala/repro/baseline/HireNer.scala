@@ -2,7 +2,7 @@ package repro.baseline
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.storage.StorageLevel
-import repro.core.{GlobalPooling, Tweet}
+import repro.core.{GlobalPooling, Metrics, Tweet}
 import repro.data.TweetGen
 import repro.emd.{LocalEmd, TokenEmbedder}
 import repro.nn.MlpClassifier
@@ -19,7 +19,8 @@ import repro.util.Rng
   * (the same entity-aware embedding space as the deep Local EMD system),
   * a global memory = mean embedding per lower-cased token type across the
   * stream, and an MLP decoder over [local ⊕ global] per token; maximal
-  * runs of entity-labelled tokens become predicted mentions.
+  * runs of entity-labelled tokens become predicted mentions. Every pass is
+  * a per-tweet map over the tweets, so a tweet is decoded where it stands.
   *
   * The paper's observed weakness — "adding non-local contextual information
   * inevitably introduces noise" — arises here structurally: token-type
@@ -29,33 +30,30 @@ import repro.util.Rng
   */
 object HireNer {
 
-  /** One token occurrence: local embedding, token-type key, gold label. */
-  final case class TokenOcc(tweetId: Long, sentId: Int, pos: Int, tokenKey: String,
-                            local: Array[Double], isEntity: Boolean)
+  private def tokenKey(t: Tweet, p: Int): String = t.tokens(p).toLowerCase(java.util.Locale.ROOT)
 
-  def tokenOccurrences(tweets: Dataset[Tweet],
-                       dim: Int,
-                       salt: Long,
-                       datasetSeed: Long): Dataset[TokenOcc] = {
+  private def local(system: LocalEmd, datasetSeed: Long)(t: Tweet, p: Int): Array[Double] =
+    TokenEmbedder.tokenEmbedding(system.dim, system.params.salt, datasetSeed, t, p)
+
+  /** True iff token `p` of `t` lies inside a gold mention. */
+  private[baseline] def isEntity(t: Tweet, p: Int): Boolean =
+    t.gold.exists(g => p >= g.start && p < g.start + g.len)
+
+  /** Global memory: mean local embedding per lower-cased token type. */
+  def globalMemory(tweets: Dataset[Tweet], system: LocalEmd, spec: TweetGen.Spec): Map[String, Array[Double]] = {
     val spark = tweets.sparkSession
     import spark.implicits._
-    tweets.flatMap { t =>
-      t.tokens.indices.map { p =>
-        val inGold = t.gold.exists(g => p >= g.start && p < g.start + g.len)
-        TokenOcc(t.tweetId, t.sentId, p, t.tokens(p).toLowerCase(java.util.Locale.ROOT),
-          TokenEmbedder.tokenEmbedding(dim, salt, datasetSeed, t, p), inGold)
-      }
-    }
-  }
-
-  /** Global memory: mean local embedding per token type. */
-  def globalMemory(occ: Dataset[TokenOcc]): Map[String, Array[Double]] =
-    GlobalPooling.pools(occ)(_.tokenKey, _.local).collect()
+    val emb = local(system, spec.seed) _
+    val occ = tweets.flatMap(t => t.tokens.indices.map(p => (tokenKey(t, p), emb(t, p))))
+    GlobalPooling.pools(occ)(_._1, _._2).collect()
       .map { case (key, p) => key -> p.mean }
       .toMap
+  }
 
-  private def featuresOf(local: Array[Double], global: Array[Double]): Array[Double] =
-    local ++ global
+  /** Decoder input of token `p` of `t`: local ⊕ memory(token type). */
+  private def features(system: LocalEmd, datasetSeed: Long, memory: Map[String, Array[Double]])
+                      (t: Tweet, p: Int): Array[Double] =
+    local(system, datasetSeed)(t, p) ++ memory(tokenKey(t, p))
 
   /** Train the token decoder on D5 (subsampled for tractability). */
   def train(spark: SparkSession,
@@ -63,66 +61,48 @@ object HireNer {
             sampleN: Int = 20000,
             seed: Long = 0x41EEL,
             spec: TweetGen.Spec = TweetGen.D5): MlpClassifier = {
+    import spark.implicits._
     val tweets = TweetGen.generate(spark, spec).persist(StorageLevel.MEMORY_AND_DISK)
-    val occ = tokenOccurrences(tweets, system.dim, system.params.salt, spec.seed)
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    val memory = globalMemory(occ)
-    val bc = spark.sparkContext.broadcast(memory)
+    val memory = spark.sparkContext.broadcast(globalMemory(tweets, system, spec))
 
     // Deterministic subsample, entity tokens kept at a higher rate so the
     // decoder sees a balanced class mix.
-    val sampled = occ.filter { o =>
-      val u = Rng.unif(seed, o.tweetId, o.pos.toLong)
-      if (o.isEntity) u < 0.35 else u < 0.04
-    }.collect().take(sampleN)
-    occ.unpersist(); tweets.unpersist()
+    val dsSeed = spec.seed
+    val examples = tweets.flatMap { t =>
+      t.tokens.indices.flatMap { p =>
+        val entity = isEntity(t, p)
+        Option.when(Rng.unif(seed, t.tweetId, p.toLong) < (if (entity) 0.35 else 0.04))(
+          (features(system, dsSeed, memory.value)(t, p), if (entity) 1.0 else 0.0))
+      }
+    }.take(sampleN).toIndexedSeq
+    tweets.unpersist()
 
-    val examples = sampled.map { o =>
-      (featuresOf(o.local, bc.value(o.tokenKey)), if (o.isEntity) 1.0 else 0.0)
-    }.toIndexedSeq
     val (trainIdx, validIdx) = examples.indices.partition(i => Rng.unif(seed, 2L, i.toLong) < 0.8)
     val mlp = new MlpClassifier(Array(2 * system.dim, 64, 32, 1), seed)
-    mlp.fit(trainIdx.map(examples).toIndexedSeq, validIdx.map(examples).toIndexedSeq,
+    mlp.fit(trainIdx.map(examples), validIdx.map(examples),
       lr = 0.0015, batchSize = 128, maxEpochs = 150, patience = 15, seed = seed)
     mlp
   }
 
-  /** Run HIRE-NER over a dataset: label tokens, assemble maximal entity runs. */
+  /** Run HIRE-NER over a dataset: label each tweet's tokens in order and
+    * emit its maximal entity runs as [[Metrics.SpanCols]] rows.
+    */
   def run(spark: SparkSession,
           spec: TweetGen.Spec,
           system: LocalEmd,
           decoder: MlpClassifier): DataFrame = {
     import spark.implicits._
-    val tweets = TweetGen.generate(spark, spec).persist(StorageLevel.MEMORY_AND_DISK)
-    val occ = tokenOccurrences(tweets, system.dim, system.params.salt, spec.seed)
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    val memory = spark.sparkContext.broadcast(globalMemory(occ))
+    val tweets = TweetGen.generate(spark, spec)
+    val memory = spark.sparkContext.broadcast(globalMemory(tweets, system, spec))
     val dec = spark.sparkContext.broadcast(decoder)
-
-    // Per-sentence: classify each token, emit maximal runs of entity tokens.
-    val spans = occ
-      .groupByKey(o => (o.tweetId, o.sentId))
-      .flatMapGroups { (key: (Long, Int), it: Iterator[TokenOcc]) =>
-        val (tweetId, sentId) = key
-        val toks = it.toSeq.sortBy(_.pos)
-        val flags = toks.map(o => dec.value.predictProba(featuresOf(o.local, memory.value(o.tokenKey))) >= 0.5)
-        val out = Seq.newBuilder[(Long, Int, Int, Int)]
-        var i = 0
-        while (i < flags.length) {
-          if (flags(i)) {
-            var j = i
-            while (j + 1 < flags.length && flags(j + 1)) j += 1
-            out += ((tweetId, sentId, toks(i).pos, j - i + 1))
-            i = j + 1
-          } else i += 1
-        }
-        out.result()
+    val dsSeed = spec.seed
+    tweets.flatMap { t =>
+      val feat = features(system, dsSeed, memory.value) _
+      val flags = t.tokens.indices.map(p => dec.value.predictProba(feat(t, p)) >= 0.5)
+      flags.indices.collect { case s if flags(s) && (s == 0 || !flags(s - 1)) =>
+        val end = flags.indexWhere(f => !f, s)
+        (t.tweetId, t.sentId, s, (if (end < 0) flags.length else end) - s)
       }
-      .toDF("tweetId", "sentId", "start", "len")
-      .distinct()
-      .cache()
-    spans.count()
-    occ.unpersist(); tweets.unpersist()
-    spans
+    }.toDF(Metrics.SpanCols: _*)
   }
 }

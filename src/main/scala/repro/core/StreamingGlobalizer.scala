@@ -101,7 +101,8 @@ object StreamingGlobalizer {
 
   /** Drive a whole dataset through the framework in `nBatches` sequential
     * micro-batches (driver loop; used by tests and the streaming bench).
-    * Returns the union of per-batch outputs and the final state.
+    * Returns the union of per-batch outputs, cached (the per-batch spans
+    * are released), and the final state.
     */
   def runBatched(spark: SparkSession,
                  spec: TweetGen.Spec,
@@ -118,7 +119,10 @@ object StreamingGlobalizer {
       val batch = spark.range(lo, hi).as[Long].map(id => TweetGen.makeTweet(spec, id))
       processBatch(batch, spec, system, clf, phraseEmbedder, state)
     }
-    (outs.reduce(_ union _).distinct(), state)
+    val out = outs.reduce(_ union _).distinct().cache()
+    out.count()
+    outs.foreach(_.unpersist())
+    (out, state)
   }
 
   /** Structured Streaming execution: consume a stream of tweets (any

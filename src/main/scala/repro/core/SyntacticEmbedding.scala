@@ -19,10 +19,11 @@ object SyntacticEmbedding {
   val NoCap = 5
   val NonDiscriminative = 6
 
+  // Token capitalization tests, shared with the Local EMD simulators.
   private def hasLetter(t: String): Boolean = t.exists(_.isLetter)
-  private def allUpper(t: String): Boolean  = hasLetter(t) && t.forall(c => !c.isLetter || c.isUpper)
-  private def allLower(t: String): Boolean  = hasLetter(t) && t.forall(c => !c.isLetter || c.isLower)
-  private def firstCap(t: String): Boolean  = t.nonEmpty && t.head.isUpper
+  private[repro] def allUpper(t: String): Boolean = hasLetter(t) && t.forall(c => !c.isLetter || c.isUpper)
+  private[repro] def allLower(t: String): Boolean = hasLetter(t) && t.forall(c => !c.isLetter || c.isLower)
+  private[repro] def firstCap(t: String): Boolean = t.nonEmpty && t.head.isUpper
 
   /** True if the whole sentence is syntactically non-discriminative: all
     * upper-case, all lower-case, or every word first-char capitalized.

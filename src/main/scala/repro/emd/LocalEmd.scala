@@ -2,6 +2,7 @@ package repro.emd
 
 import org.apache.spark.sql.Dataset
 import repro.core.{Detection, Tweet}
+import repro.core.SyntacticEmbedding.{allLower, allUpper, firstCap}
 import repro.data.TweetGen
 import repro.util.Rng
 
@@ -43,12 +44,6 @@ trait LocalEmd extends Serializable {
   def name: String = params.name
   def deep: Boolean = params.deep
   def dim: Int = params.dim
-
-  private def firstCap(t: String): Boolean = t.nonEmpty && t.head.isUpper
-  private def allUpper(t: String): Boolean =
-    t.exists(_.isLetter) && t.forall(c => !c.isLetter || c.isUpper)
-  private def allLower(t: String): Boolean =
-    t.exists(_.isLetter) && t.forall(c => !c.isLetter || c.isLower)
 
   /** Detection-probability multiplier from the mention's surface caps variant. */
   private def variantFactor(mention: Seq[String]): Double = {

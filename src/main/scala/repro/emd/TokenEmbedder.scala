@@ -66,7 +66,7 @@ object TokenEmbedder {
 
   /** Class mean vector (deterministic per (salt, class)). */
   def classMean(dim: Int, salt: Long, entity: Boolean): Array[Double] =
-    meanCache.computeIfAbsent((dim, salt, entity), { key =>
+    meanCache.computeIfAbsent((dim, salt, entity), { _ =>
       val s = meanScale(dim)
       val tag = if (entity) 1L else 2L
       Array.tabulate(dim)(i => s * Rng.gaussian(salt, 910L, tag, i.toLong))

@@ -1,11 +1,16 @@
 package repro.baseline
 
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.exchange.Exchange
 import repro.{SparkSpec, TestFixtures}
-import repro.core.{Globalizer, Metrics}
+import repro.core.{EvalCounts, Globalizer, Metrics}
 import repro.data.TweetGen
-import repro.emd.Aguilar
-import repro.nn.MlpClassifier
+import repro.emd.{Aguilar, TokenEmbedder}
+import repro.nn.{MlpClassifier, Net}
 
+import java.util.Locale
 import scala.collection.mutable
 
 class HireNerSpec extends SparkSpec {
@@ -14,44 +19,55 @@ class HireNerSpec extends SparkSpec {
   private lazy val decoder: MlpClassifier =
     HireNer.train(spark, Aguilar, sampleN = 8000, spec = TweetGen.D5Mini)
 
-  test("tokenOccurrences covers every token exactly once") {
-    import spark.implicits._
-    val tweets = TweetGen.generate(spark, spec)
-    val occ = HireNer.tokenOccurrences(tweets, Aguilar.dim, Aguilar.params.salt, spec.seed)
-    val totalTokens = TweetGen.generateLocal(spec).map(_.tokens.size).sum
-    assert(occ.count() == totalTokens)
-    val perTweet = occ.groupByKey(o => (o.tweetId, o.pos)).count().collect()
-    assert(perTweet.forall(_._2 == 1))
-  }
+  private def tokenType(t: String): String = t.toLowerCase(Locale.ROOT)
 
   test("token gold labels match the gold spans") {
-    import spark.implicits._
-    val tweets = TweetGen.generate(spark, spec)
-    val occ = HireNer.tokenOccurrences(tweets, Aguilar.dim, Aguilar.params.salt, spec.seed)
-    val labelledPos = occ.filter(_.isEntity).map(o => (o.tweetId, o.pos)).collect().toSet
-    val expected = TweetGen.generateLocal(spec).flatMap(t =>
+    val tweets = TweetGen.generateLocal(spec)
+    val labelledPos = tweets.flatMap(t =>
+      t.tokens.indices.filter(HireNer.isEntity(t, _)).map(p => (t.tweetId, p))).toSet
+    val expected = tweets.flatMap(t =>
       t.gold.flatMap(g => (g.start until g.start + g.len).map(p => (t.tweetId, p)))).toSet
     assert(labelledPos == expected)
   }
 
   test("globalMemory pools one vector per lower-cased token type") {
-    import spark.implicits._
-    val tweets = TweetGen.generate(spark, spec)
-    val occ = HireNer.tokenOccurrences(tweets, Aguilar.dim, Aguilar.params.salt, spec.seed)
-    val mem = HireNer.globalMemory(occ)
-    val types = occ.map(_.tokenKey).distinct().count()
-    assert(mem.size == types)
+    val mem = HireNer.globalMemory(TweetGen.generate(spark, spec), Aguilar, spec)
+    val types = TweetGen.generateLocal(spec).flatMap(_.tokens.map(tokenType)).toSet
+    assert(mem.keySet == types)
     assert(mem.values.forall(_.length == Aguilar.dim))
   }
 
   test("globalMemory mean equals the hand-computed mean for one token type") {
-    val tweets = TweetGen.generate(spark, spec)
-    val occ = HireNer.tokenOccurrences(tweets, Aguilar.dim, Aguilar.params.salt, spec.seed)
-    val mem = HireNer.globalMemory(occ)
-    val someType = mem.keys.head
-    val locals = occ.filter(_.tokenKey == someType).collect().map(_.local)
-    val expected = repro.nn.Net.mean(locals.toSeq)
+    val mem = HireNer.globalMemory(TweetGen.generate(spark, spec), Aguilar, spec)
+    val tweets = TweetGen.generateLocal(spec)
+    // The most frequent type: its mean counts every one of many occurrences.
+    val someType = tweets.flatMap(_.tokens.map(tokenType)).groupBy(identity).maxBy(_._2.size)._1
+    val locals = tweets.flatMap(t => t.tokens.indices.collect {
+      case p if tokenType(t.tokens(p)) == someType =>
+        TokenEmbedder.tokenEmbedding(Aguilar.dim, Aguilar.params.salt, spec.seed, t, p)
+    })
+    assert(locals.size > 1)
+    val expected = Net.mean(locals)
     mem(someType).zip(expected).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9) }
+  }
+
+  test("HIRE-NER is pinned: DevStream counts and decoder bits (D5Mini decoder)") {
+    val x = Array.tabulate(2 * Aguilar.dim)(i => 0.01 * i)
+    assert(java.lang.Double.doubleToLongBits(decoder.predictProba(x)) == 4607046348548571344L)
+    val eval = Metrics.evaluate(HireNer.run(spark, spec, Aguilar, decoder), TweetGen.generate(spark, spec))
+    assert(eval == EvalCounts(397, 546, 190))
+  }
+
+  test("HIRE-NER decodes each tweet where it stands: its plan has no shuffle") {
+    // Walks into adaptive plans, their query stages and cached relations.
+    def nodes(p: SparkPlan): Seq[SparkPlan] = p +: (p match {
+      case a: AdaptiveSparkPlanExec => Seq(a.executedPlan)
+      case s: QueryStageExec => Seq(s.plan)
+      case m: InMemoryTableScanExec => Seq(m.relation.cachedPlan)
+      case _ => p.children
+    }).flatMap(nodes)
+    val plan = HireNer.run(spark, spec, Aguilar, decoder).queryExecution.executedPlan
+    assert(!nodes(plan).exists(_.isInstanceOf[Exchange]), plan)
   }
 
   test("HIRE-NER produces valid non-overlapping spans") {

@@ -96,6 +96,16 @@ class StreamingGlobalizerSpec extends SparkSpec {
       "streaming global must still beat local EMD")
   }
 
+  test("runBatched leaves cached only the DataFrame it returns") {
+    val sc = spark.sparkContext
+    val clf = trained.classifier
+    val before = sc.getPersistentRDDs.size
+    val (out, _) = StreamingGlobalizer.runBatched(
+      spark, spec, Aguilar, clf, trained.phraseEmbedder, nBatches = 2)
+    out.unpersist()
+    assert(sc.getPersistentRDDs.size == before)
+  }
+
   test("processBatch over an empty batch leaves state usable") {
     import spark.implicits._
     val state = new StreamingGlobalizer.State
