@@ -53,8 +53,7 @@ object Globalizer {
                  chargeEmbeddingCost: Boolean): Dataset[Detection] = {
     val spark = tweets.sparkSession
     import spark.implicits._
-    val dets = system.detectAll(tweets, spec).persist(StorageLevel.MEMORY_AND_DISK)
-    dets.count()
+    val dets = fill(system.detectAll(tweets, spec).persist(StorageLevel.MEMORY_AND_DISK))
     if (system.deep && chargeEmbeddingCost) {
       val dim = system.dim
       val salt = system.params.salt
@@ -73,17 +72,34 @@ object Globalizer {
     dets
   }
 
-  /** Seed entity candidates: distinct case-insensitive keys of the local detections. */
+  /** Fills the cache of a persisted Dataset in one narrow job. (Under AQE a
+    * `Dataset.count()` plans a partial and a final aggregate: two or three
+    * jobs.)
+    */
+  private[core] def fill[T](ds: Dataset[T]): Dataset[T] = {
+    ds.rdd.count()
+    ds
+  }
+
+  /** Seed entity candidates: distinct case-insensitive keys of the local
+    * detections, sorted. Each partition sends its own distinct keys and the
+    * driver merges them: one narrow job, no shuffle.
+    */
   def seedKeys(dets: Dataset[Detection]): Seq[String] = {
     val spark = dets.sparkSession
     import spark.implicits._
-    dets.map(_.key).distinct().collect().toSeq.sorted
+    dets.mapPartitions(_.map(_.key).toSet.iterator).collect().distinct.sorted.toSeq
   }
 
   /** Final output assembly from classifier bands:
     * α → all mined mentions of the candidate; γ → only Local EMD's own
-    * detections of it; β → nothing. One `distinct` over both deduplicates
-    * the spans.
+    * detections of it; β → nothing.
+    *
+    * The union is distinct by construction, so it needs no shuffle: the
+    * CTrie scan yields non-overlapping spans per sentence, `detectAll`
+    * yields each detection of a sentence once, and a span's key (hence its
+    * band) is a function of its surface, so no span is both α and γ. This
+    * holds when (tweetId, sentId) identifies one input row.
     */
   def assembleOutput(mentions: Dataset[MentionEmb],
                      localDets: Dataset[Detection],
@@ -92,7 +108,7 @@ object Globalizer {
     val spanCols = Metrics.SpanCols.map(col)
     val alpha = mentions.filter(m => band.value.get(m.key).contains(EntityClassifier.Alpha))
     val gamma = localDets.filter(d => band.value.get(d.key).contains(EntityClassifier.Gamma))
-    alpha.select(spanCols: _*).union(gamma.select(spanCols: _*)).distinct()
+    alpha.select(spanCols: _*).union(gamma.select(spanCols: _*))
   }
 
   /** One full pipeline run over a dataset with a trained classifier (and,
@@ -104,8 +120,8 @@ object Globalizer {
           clf: EntityClassifier,
           phraseEmbedder: Option[PhraseEmbedder],
           chargeEmbeddingCost: Boolean = true): RunOutput = {
-    val tweets = TweetGen.generate(spark, spec).persist(StorageLevel.MEMORY_AND_DISK)
-    tweets.count() // data loading, not attributed to either phase
+    // Data loading, not attributed to either phase.
+    val tweets = fill(TweetGen.generate(spark, spec).persist(StorageLevel.MEMORY_AND_DISK))
 
     val t0 = now()
     val localDets = localPhase(tweets, system, spec, chargeEmbeddingCost)

@@ -78,8 +78,7 @@ object StreamingGlobalizer {
     val mentions = state.absorb(batch, localDets, spec, system, phraseEmbedder)
     val scored = state.records.map(r => (r, clf.score(r)))
     val bands = scored.map { case (r, s) => r.key -> EntityClassifier.bandOf(s) }.toMap
-    val spans = Globalizer.assembleOutput(mentions, localDets, bands).cache()
-    spans.count()
+    val spans = Globalizer.fill(Globalizer.assembleOutput(mentions, localDets, bands).cache())
     GlobalOutput(mentions, scored, spans)
   }
 
@@ -102,7 +101,8 @@ object StreamingGlobalizer {
   /** Drive a whole dataset through the framework in `nBatches` sequential
     * micro-batches (driver loop; used by tests and the streaming bench).
     * Returns the union of per-batch outputs, cached (the per-batch spans
-    * are released), and the final state.
+    * are released), and the final state. The micro-batches hold disjoint
+    * tweets, so the union is as distinct as each batch's output.
     */
   def runBatched(spark: SparkSession,
                  spec: TweetGen.Spec,
@@ -119,8 +119,7 @@ object StreamingGlobalizer {
       val batch = spark.range(lo, hi).as[Long].map(id => TweetGen.makeTweet(spec, id))
       processBatch(batch, spec, system, clf, phraseEmbedder, state)
     }
-    val out = outs.reduce(_ union _).distinct().cache()
-    out.count()
+    val out = Globalizer.fill(outs.reduce(_ union _).cache())
     outs.foreach(_.unpersist())
     (out, state)
   }

@@ -115,14 +115,18 @@ trait LocalEmd extends Serializable {
     out.result()
   }
 
-  /** Distributed Local EMD over a dataset. */
+  /** Distributed Local EMD over a dataset. A sentence's repeated detections
+    * (two junk draws may pick the same token) are emitted once, so every
+    * span of the result is distinct: `Globalizer.assembleOutput` relies on
+    * it.
+    */
   def detectAll(tweets: Dataset[Tweet], spec: TweetGen.Spec): Dataset[Detection] = {
     val spark = tweets.sparkSession
     import spark.implicits._
     val hardness = spec.hardness
     val dsSeed = spec.seed
     val self = this
-    tweets.flatMap(t => self.detect(t, hardness, dsSeed))
+    tweets.flatMap(t => self.detect(t, hardness, dsSeed).distinct)
   }
 }
 

@@ -1,6 +1,9 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.scalatest.funsuite.AnyFunSuite
 import repro.jobs.Jobs
 
@@ -12,6 +15,16 @@ import repro.jobs.Jobs
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Every node of a physical plan, walking into adaptive plans, their
+    * query stages and cached relations.
+    */
+  def planNodes(p: SparkPlan): Seq[SparkPlan] = p +: (p match {
+    case a: AdaptiveSparkPlanExec => Seq(a.executedPlan)
+    case s: QueryStageExec => Seq(s.plan)
+    case m: InMemoryTableScanExec => Seq(m.relation.cachedPlan)
+    case _ => p.children
+  }).flatMap(planNodes)
 }
 
 object SparkSpec {

@@ -1,8 +1,5 @@
 package repro.baseline
 
-import org.apache.spark.sql.execution.SparkPlan
-import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
-import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.Exchange
 import repro.{SparkSpec, TestFixtures}
 import repro.core.{EvalCounts, Globalizer, Metrics}
@@ -59,15 +56,8 @@ class HireNerSpec extends SparkSpec {
   }
 
   test("HIRE-NER decodes each tweet where it stands: its plan has no shuffle") {
-    // Walks into adaptive plans, their query stages and cached relations.
-    def nodes(p: SparkPlan): Seq[SparkPlan] = p +: (p match {
-      case a: AdaptiveSparkPlanExec => Seq(a.executedPlan)
-      case s: QueryStageExec => Seq(s.plan)
-      case m: InMemoryTableScanExec => Seq(m.relation.cachedPlan)
-      case _ => p.children
-    }).flatMap(nodes)
     val plan = HireNer.run(spark, spec, Aguilar, decoder).queryExecution.executedPlan
-    assert(!nodes(plan).exists(_.isInstanceOf[Exchange]), plan)
+    assert(!planNodes(plan).exists(_.isInstanceOf[Exchange]), plan)
   }
 
   test("HIRE-NER produces valid non-overlapping spans") {

@@ -1,9 +1,19 @@
 package repro.core
 
 import org.apache.spark.sql.catalyst.plans.logical.Aggregate
+import org.apache.spark.sql.execution.exchange.Exchange
 import repro.{SparkSpec, TestFixtures}
 import repro.data.TweetGen
-import repro.emd.{Aguilar, BerTweet, NpChunker, TwitterNlp}
+import repro.emd.{Aguilar, BerTweet, LocalEmd, NpChunker, SysParams, TwitterNlp}
+
+/** NP Chunker emitting each of its detections twice. */
+private object DoubledChunker extends LocalEmd {
+  val params: SysParams = NpChunker.params
+  override def detect(tweet: Tweet, hardness: Double, datasetSeed: Long): Seq[Detection] = {
+    val d = NpChunker.detect(tweet, hardness, datasetSeed)
+    d ++ d
+  }
+}
 
 /** End-to-end integration tests of the batch pipeline on a small stream,
   * covering the paper's three Global EMD objectives (false-negative
@@ -174,6 +184,7 @@ class GlobalizerSpec extends SparkSpec {
       val out = Globalizer.run(spark, spec, system, t.classifier, t.phraseEmbedder,
         chargeEmbeddingCost = false)
       assert((out.localEval, out.globalEval) == ((local, global)), system.name)
+      assert(out.finalSpans.count() == out.finalSpans.distinct().count(), system.name)
       Seq(out.localDets, out.mentions, out.finalSpans).foreach(_.unpersist())
     }
   }
@@ -202,11 +213,23 @@ class GlobalizerSpec extends SparkSpec {
     dets.unpersist()
   }
 
-  test("output assembly is one aggregation: one shuffle for α mentions and γ detections") {
+  test("output assembly is narrow: no aggregation and no shuffle") {
     val bands = runChunker.scored.map { case (r, s) => r.key -> EntityClassifier.bandOf(s) }.toMap
-    val plan = Globalizer.assembleOutput(runChunker.mentions, runChunker.localDets, bands)
-      .queryExecution.optimizedPlan
-    assert(plan.collect { case a: Aggregate => a }.size == 1, plan)
+    val qe = Globalizer.assembleOutput(runChunker.mentions, runChunker.localDets, bands).queryExecution
+    assert(qe.optimizedPlan.collect { case a: Aggregate => a }.isEmpty, qe.optimizedPlan)
+    assert(!planNodes(qe.executedPlan).exists(_.isInstanceOf[Exchange]), qe.executedPlan)
+  }
+
+  test("repeated detections of a sentence are emitted once, and the output stays distinct") {
+    val tweets = TweetGen.generate(spark, spec)
+    val dets = DoubledChunker.detectAll(tweets, spec)
+    assert(dets.count() == dets.distinct().count())
+    assert(dets.collect().toSet == NpChunker.detectAll(tweets, spec).collect().toSet)
+    val out = Globalizer.run(spark, spec, DoubledChunker, trainedChunker.classifier, None,
+      chargeEmbeddingCost = false)
+    assert(out.finalSpans.count() == out.finalSpans.distinct().count())
+    assert((out.localEval, out.globalEval) == ((runChunker.localEval, runChunker.globalEval)))
+    Seq(out.localDets, out.mentions, out.finalSpans).foreach(_.unpersist())
   }
 
   test("run is deterministic in evaluation counts") {

@@ -1,10 +1,13 @@
 package repro.core
 
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import repro.{SparkSpec, TestFixtures}
 import repro.data.TweetGen
 import repro.emd.Aguilar
 
+import java.util.concurrent.atomic.AtomicInteger
 import scala.collection.mutable
 
 class StreamingGlobalizerSpec extends SparkSpec {
@@ -102,8 +105,39 @@ class StreamingGlobalizerSpec extends SparkSpec {
     val before = sc.getPersistentRDDs.size
     val (out, _) = StreamingGlobalizer.runBatched(
       spark, spec, Aguilar, clf, trained.phraseEmbedder, nBatches = 2)
+    assert(out.count() == out.distinct().count())
     out.unpersist()
     assert(sc.getPersistentRDDs.size == before)
+  }
+
+  test("a warm processBatch runs 6 Spark jobs: every step but pooling is one narrow job") {
+    import spark.implicits._
+    val sc = spark.sparkContext
+    val sp = spec // local copy: the lambda must not capture the test class
+    def batch(lo: Long, hi: Long) = spark.range(lo, hi).as[Long].map(id => TweetGen.makeTweet(sp, id))
+    val state = new StreamingGlobalizer.State
+    def process(lo: Long, hi: Long): Unit = StreamingGlobalizer.processBatch(
+      batch(lo, hi), spec, Aguilar, trained.classifier, trained.phraseEmbedder, state).unpersist()
+    process(0, 300)
+
+    val probe = "repro.test.jobCount"
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty(probe) != null)) jobs.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    sc.setLocalProperty(probe, "1")
+    try process(300, 600)
+    finally {
+      sc.setLocalProperty(probe, null)
+      ListenerBusDrain(sc)
+      sc.removeSparkListener(listener)
+    }
+    // One job each for localPhase's cache fill, seedKeys and the spans'
+    // cache fill; three for mining and pooling (its group-by shuffle under
+    // AQE).
+    assert(jobs.get == 6)
   }
 
   test("processBatch over an empty batch leaves state usable") {
