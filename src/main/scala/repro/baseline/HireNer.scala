@@ -45,9 +45,7 @@ object HireNer {
     import spark.implicits._
     val emb = local(system, spec.seed) _
     val occ = tweets.flatMap(t => t.tokens.indices.map(p => (tokenKey(t, p), emb(t, p))))
-    GlobalPooling.pools(occ)(_._1, _._2).collect()
-      .map { case (key, p) => key -> p.mean }
-      .toMap
+    GlobalPooling.pools(occ)(_._1, _._2).map { case (key, p) => key -> p.mean }.toMap
   }
 
   /** Decoder input of token `p` of `t`: local ⊕ memory(token type). */

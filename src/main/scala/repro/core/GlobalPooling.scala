@@ -1,14 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.{Dataset, Encoder, Encoders}
-import org.apache.spark.sql.expressions.Aggregator
+import org.apache.spark.sql.Dataset
+
+import scala.collection.mutable
 
 /** Incremental pooling of local candidate embeddings into global candidate
   * embeddings (paper Sec. V-C): the CandidateBase keeps, per candidate, a
-  * running (count, sum) that finishes as the mean embedding. The Aggregator
-  * formulation gives Catalyst partial aggregation and makes the incremental
-  * streaming update (merge of partial pools) literally the same code path
-  * as the batch computation.
+  * running (count, sum) that finishes as the mean embedding. Pooling a
+  * Dataset and the streaming update of the CandidateBase are the same
+  * `Pool.merge`, and both keep their pools sorted by key.
   */
 object GlobalPooling {
 
@@ -46,27 +46,29 @@ object GlobalPooling {
     val empty: Pool = Pool(0L, Array.empty[Double])
   }
 
-  /** Typed Aggregator from embeddings to a finished Pool. */
-  final class PoolAgg extends Aggregator[Array[Double], Pool, Pool] {
-    override def zero: Pool = Pool.empty
-    override def reduce(b: Pool, emb: Array[Double]): Pool = b.add(emb)
-    override def merge(a: Pool, b: Pool): Pool = a.merge(b)
-    override def finish(b: Pool): Pool = b
-    override def bufferEncoder: Encoder[Pool] = Encoders.product[Pool]
-    override def outputEncoder: Encoder[Pool] = Encoders.product[Pool]
+  /** Merges `more` into `into`, key by key. */
+  def mergeInto(into: mutable.Map[String, Pool], more: Iterable[(String, Pool)]): Unit =
+    more.foreach { case (k, p) => into.update(k, into.getOrElse(k, Pool.empty).merge(p)) }
+
+  /** One Pool per key of `ds`, sorted by key, in one narrow job: each
+    * partition adds its rows' `emb` into per-key pools in row order, and
+    * the driver merges the partitions' pools in partition order. Neither
+    * order depends on the core count.
+    */
+  def pools[T](ds: Dataset[T])(key: T => String, emb: T => Array[Double]): mutable.TreeMap[String, Pool] = {
+    val merged = mutable.TreeMap.empty[String, Pool]
+    ds.rdd.mapPartitions { rows =>
+      val part = mutable.HashMap.empty[String, Pool]
+      rows.foreach { r => val k = key(r); part.update(k, part.getOrElse(k, Pool.empty).add(emb(r))) }
+      Iterator.single(part)
+    }.collect().foreach(mergeInto(merged, _))
+    merged
   }
 
-  /** One Pool per key of `ds`, summing `emb` with partial aggregation. */
-  def pools[T](ds: Dataset[T])(key: T => String, emb: T => Array[Double]): Dataset[(String, Pool)] = {
-    val spark = ds.sparkSession
-    import spark.implicits._
-    ds.groupByKey(key).mapValues(emb).agg(new PoolAgg().toColumn.name("pool"))
-  }
-
-  /** Global candidate embeddings: one CandidateRecord per candidate key. */
+  /** Global candidate embeddings: one CandidateRecord per candidate key, by key. */
   def pool(mentions: Dataset[MentionEmb]): Dataset[CandidateRecord] = {
     val spark = mentions.sparkSession
     import spark.implicits._
-    pools(mentions)(_.key, _.emb).map { case (key, p) => CandidateRecord(key, p.count, p.mean) }
+    pools(mentions)(_.key, _.emb).toSeq.map { case (key, p) => CandidateRecord(key, p.count, p.mean) }.toDS()
   }
 }

@@ -37,7 +37,10 @@ object Globalizer {
                              finalSpans: DataFrame,
                              localEval: EvalCounts,
                              globalEval: EvalCounts,
-                             timings: Timings)
+                             timings: Timings) {
+    /** Releases the three Datasets a run returns cached. */
+    def unpersist(): RunOutput = { Seq(localDets, mentions, finalSpans).foreach(_.unpersist()); this }
+  }
 
   private def now(): Long = System.nanoTime()
   private def secs(from: Long, to: Long): Double = (to - from) / 1e9

@@ -29,9 +29,9 @@ object StreamingGlobalizer {
   /** Mutable cross-batch state (driver-held; candidate counts are small). */
   final class State {
     val keys: mutable.Set[String] = mutable.Set.empty
-    val pools: mutable.LinkedHashMap[String, GlobalPooling.Pool] = mutable.LinkedHashMap.empty
+    val pools: mutable.TreeMap[String, GlobalPooling.Pool] = mutable.TreeMap.empty
 
-    /** Every candidate with its finished pool, in first-seen order. */
+    /** Every candidate with its finished pool, sorted by key. */
     def records: Seq[CandidateRecord] =
       pools.toSeq.map { case (k, p) => CandidateRecord(k, p.count, p.mean) }
 
@@ -48,10 +48,8 @@ object StreamingGlobalizer {
       val trie = batch.sparkSession.sparkContext.broadcast(CTrie.fromKeys(keys))
       val mentions = MentionExtractor.mine(batch, trie, system, spec.seed, phraseEmbedder)
         .persist(StorageLevel.MEMORY_AND_DISK)
-      // The collect also fills the mentions' cache.
-      GlobalPooling.pools(mentions)(_.key, _.emb).collect().foreach { case (k, p) =>
-        pools.update(k, pools.getOrElse(k, GlobalPooling.Pool.empty).merge(p))
-      }
+      // Pooling's one job also fills the mentions' cache.
+      GlobalPooling.mergeInto(pools, GlobalPooling.pools(mentions)(_.key, _.emb))
       mentions
     }
   }

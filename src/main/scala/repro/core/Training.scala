@@ -43,7 +43,7 @@ object Training {
   /** Extract labelled global candidate records from a training stream
     * (D5 in the paper) for a system: one pipeline iteration's local phase and
     * CandidateBase update ([[StreamingGlobalizer.State.absorb]]) on a fresh
-    * state, in the state's first-seen order.
+    * state, sorted by key.
     */
   def d5Candidates(spark: SparkSession,
                    system: LocalEmd,

@@ -91,12 +91,11 @@ object Experiments {
                              globalP: Double, globalR: Double, globalF1: Double, totalTimeSec: Double,
                              f1GainPct: Double, overheadSec: Double)
 
-  def table3Row(spark: SparkSession, spec: TweetGen.Spec, system: LocalEmd): Table3Row = {
-    val trained = TrainedCache.get(spark, system)
-    val out = Globalizer.run(spark, spec, system, trained.classifier, trained.phraseEmbedder)
+  def table3Row(spark: SparkSession, spec: TweetGen.Spec, trained: Training.Trained): Table3Row = {
+    val out = Globalizer.run(spark, spec, trained.system, trained.classifier, trained.phraseEmbedder).unpersist()
     val l = out.localEval; val g = out.globalEval
     val gain = if (l.f1 == 0) 0.0 else (g.f1 - l.f1) / l.f1 * 100.0
-    Table3Row(spec.name, system.name,
+    Table3Row(spec.name, trained.system.name,
       l.precision, l.recall, l.f1, out.timings.localSec,
       g.precision, g.recall, g.f1, out.timings.totalSec,
       gain, out.timings.globalOverheadSec)
@@ -105,7 +104,7 @@ object Experiments {
   def table3(spark: SparkSession,
              specs: Seq[TweetGen.Spec] = TweetGen.evalSpecs,
              systems: Seq[LocalEmd] = LocalEmd.all): Seq[Table3Row] =
-    for (spec <- specs; sys <- systems) yield table3Row(spark, spec, sys)
+    for (spec <- specs; sys <- systems) yield table3Row(spark, spec, TrainedCache.get(spark, sys))
 
   def renderTable3(rows: Seq[Table3Row]): String = {
     val header = f"${"Dataset"}%-8s ${"System"}%-16s | ${"P"}%5s ${"R"}%5s ${"F1"}%5s ${"t(s)"}%7s | ${"P"}%5s ${"R"}%5s ${"F1"}%5s ${"t(s)"}%7s | ${"Gain%"}%7s ${"Ovh(s)"}%7s"
@@ -132,7 +131,7 @@ object Experiments {
     val decoder = TrainedCache.hireDecoder(spark)
     specs.flatMap { spec =>
       val glob = Globalizer.run(spark, spec, Aguilar, trained.classifier, trained.phraseEmbedder,
-        chargeEmbeddingCost = false).globalEval
+        chargeEmbeddingCost = false).unpersist().globalEval
       val tweets = TweetGen.generate(spark, spec)
       val hireSpans: DataFrame = HireNer.run(spark, spec, Aguilar, decoder)
       val hire = Metrics.evaluate(hireSpans, tweets)

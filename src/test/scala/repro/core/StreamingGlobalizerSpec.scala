@@ -5,10 +5,11 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import repro.{SparkSpec, TestFixtures}
 import repro.data.TweetGen
-import repro.emd.Aguilar
+import repro.emd.{Aguilar, NpChunker}
 
-import java.util.concurrent.atomic.AtomicInteger
+import java.util.concurrent.ConcurrentLinkedQueue
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 class StreamingGlobalizerSpec extends SparkSpec {
 
@@ -110,7 +111,7 @@ class StreamingGlobalizerSpec extends SparkSpec {
     assert(sc.getPersistentRDDs.size == before)
   }
 
-  test("a warm processBatch runs 6 Spark jobs: every step but pooling is one narrow job") {
+  test("a warm processBatch runs 4 Spark jobs: every step is one narrow job") {
     import spark.implicits._
     val sc = spark.sparkContext
     val sp = spec // local copy: the lambda must not capture the test class
@@ -121,10 +122,10 @@ class StreamingGlobalizerSpec extends SparkSpec {
     process(0, 300)
 
     val probe = "repro.test.jobCount"
-    val jobs = new AtomicInteger
+    val stagesPerJob = new ConcurrentLinkedQueue[Int]
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty(probe) != null)) jobs.incrementAndGet()
+        if (Option(e.properties).exists(_.getProperty(probe) != null)) stagesPerJob.add(e.stageInfos.size)
     }
     sc.addSparkListener(listener)
     sc.setLocalProperty(probe, "1")
@@ -134,10 +135,44 @@ class StreamingGlobalizerSpec extends SparkSpec {
       ListenerBusDrain(sc)
       sc.removeSparkListener(listener)
     }
-    // One job each for localPhase's cache fill, seedKeys and the spans'
-    // cache fill; three for mining and pooling (its group-by shuffle under
-    // AQE).
-    assert(jobs.get == 6)
+    // One job each for localPhase's cache fill, seedKeys, mining with
+    // pooling (which fills the mentions' cache) and the spans' cache fill.
+    // A job that reads a shuffle lists its map stage too, so one stage per
+    // job means no shuffle.
+    assert(stagesPerJob.size == 4, stagesPerJob)
+    assert(stagesPerJob.asScala.forall(_ == 1), stagesPerJob)
+  }
+
+  test("candidate records are sorted by key and independent of the input partitioning") {
+    import spark.implicits._
+    val sp = TweetGen.D5Mini // local copy: the lambda must not capture the test class
+    Seq(NpChunker -> 0.0, Aguilar -> 1e-12).foreach { case (system, relTol) =>
+      val pe = TestFixtures.trained(spark, system).phraseEmbedder
+      val byK = Seq(1, 3, 8).map { k =>
+        val tweets = spark.range(0, sp.nTweets, 1, k).as[Long].map(id => TweetGen.makeTweet(sp, id))
+        val dets = Globalizer.localPhase(tweets, system, sp, chargeEmbeddingCost = false)
+        val state = new StreamingGlobalizer.State
+        state.absorb(tweets, dets, sp, system, pe).unpersist()
+        dets.unpersist()
+        state.records
+      }
+      byK.foreach { recs =>
+        val keys = recs.map(_.key)
+        assert(keys == keys.sorted, system.name)
+      }
+      val first = byK.head
+      byK.tail.foreach { recs =>
+        assert(recs.map(r => (r.key, r.mentionCount)) == first.map(r => (r.key, r.mentionCount)), system.name)
+        // Relative to the pool's largest coordinate: a coordinate near 0 is
+        // a cancellation, and its own relative error says nothing.
+        recs.zip(first).foreach { case (r, f) =>
+          val scale = f.pooled.map(math.abs).max
+          r.pooled.zip(f.pooled).foreach { case (x, y) =>
+            assert(math.abs(x - y) <= relTol * scale, s"${system.name} ${r.key}")
+          }
+        }
+      }
+    }
   }
 
   test("processBatch over an empty batch leaves state usable") {

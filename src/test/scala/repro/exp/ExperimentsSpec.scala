@@ -1,9 +1,11 @@
 package repro.exp
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.{SparkSpec, TestFixtures}
+import repro.data.TweetGen
+import repro.emd.NpChunker
 import repro.exp.Experiments._
 
-class ExperimentsSpec extends AnyFunSuite {
+class ExperimentsSpec extends SparkSpec {
 
   private val row = Table3Row("D1", "BERTweet",
     0.66, 0.49, 0.56, 33.16, 0.84, 0.66, 0.74, 34.32, 32.1, 1.16)
@@ -50,5 +52,14 @@ class ExperimentsSpec extends AnyFunSuite {
       Table4Row("D1", "EMD Globalizer", 0.87, 0.66, 0.75),
       Table4Row("D1", "HIRE-NER", 0.65, 0.62, 0.63)))
     assert(s.contains("EMD Globalizer") && s.contains("HIRE-NER"))
+  }
+
+  test("table3Row leaves no Dataset cached") {
+    val sc = spark.sparkContext
+    val trained = TestFixtures.trained(spark, NpChunker)
+    val before = sc.getPersistentRDDs.keySet
+    val r = table3Row(spark, TweetGen.DevStream, trained)
+    assert(r.globalF1 > r.localF1)
+    assert(sc.getPersistentRDDs.keySet == before)
   }
 }
