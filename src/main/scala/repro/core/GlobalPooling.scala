@@ -50,20 +50,30 @@ object GlobalPooling {
   def mergeInto(into: mutable.Map[String, Pool], more: Iterable[(String, Pool)]): Unit =
     more.foreach { case (k, p) => into.update(k, into.getOrElse(k, Pool.empty).merge(p)) }
 
-  /** One Pool per key of `ds`, sorted by key, in one narrow job: each
-    * partition adds its rows' `emb` into per-key pools in row order, and
-    * the driver merges the partitions' pools in partition order. Neither
-    * order depends on the core count.
+  /** The per-partition half of pooling: each row's `emb` added into per-key
+    * pools in row order.
     */
-  def pools[T](ds: Dataset[T])(key: T => String, emb: T => Array[Double]): mutable.TreeMap[String, Pool] = {
-    val merged = mutable.TreeMap.empty[String, Pool]
-    ds.rdd.mapPartitions { rows =>
-      val part = mutable.HashMap.empty[String, Pool]
-      rows.foreach { r => val k = key(r); part.update(k, part.getOrElse(k, Pool.empty).add(emb(r))) }
-      Iterator.single(part)
-    }.collect().foreach(mergeInto(merged, _))
-    merged
+  def partitionPools[T](rows: Iterator[T])(key: T => String, emb: T => Array[Double]): mutable.HashMap[String, Pool] = {
+    val part = mutable.HashMap.empty[String, Pool]
+    rows.foreach { r => val k = key(r); part.update(k, part.getOrElse(k, Pool.empty).add(emb(r))) }
+    part
   }
+
+  /** The driver half of pooling: partitions' pools merged in partition
+    * order into one map sorted by key.
+    */
+  def merged(parts: Iterable[collection.Map[String, Pool]]): mutable.TreeMap[String, Pool] = {
+    val into = mutable.TreeMap.empty[String, Pool]
+    parts.foreach(mergeInto(into, _))
+    into
+  }
+
+  /** One Pool per key of `ds`, sorted by key, in one narrow job: each
+    * partition folds its rows with [[partitionPools]] and the driver
+    * [[merged]]s the results. Neither order depends on the core count.
+    */
+  def pools[T](ds: Dataset[T])(key: T => String, emb: T => Array[Double]): mutable.TreeMap[String, Pool] =
+    merged(ds.rdd.mapPartitions(rows => Iterator.single(partitionPools(rows)(key, emb))).collect())
 
   /** Global candidate embeddings: one CandidateRecord per candidate key, by key. */
   def pool(mentions: Dataset[MentionEmb]): Dataset[CandidateRecord] = {

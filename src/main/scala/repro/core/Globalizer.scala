@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import repro.data.TweetGen
 import repro.emd.{LocalEmd, TokenEmbedder}
@@ -30,33 +30,37 @@ object Globalizer {
     def totalSec: Double = localSec + globalOverheadSec
   }
 
-  /** Everything a bench or test needs from one pipeline run. */
+  /** Everything a bench or test needs from one pipeline run. The span sets
+    * are local Datasets over rows held on the driver: a run leaves nothing
+    * cached.
+    */
   final case class RunOutput(localDets: Dataset[Detection],
-                             mentions: Dataset[MentionEmb],
+                             mentions: Dataset[MentionSpan],
                              scored: Seq[(CandidateRecord, Double)],
                              finalSpans: DataFrame,
                              localEval: EvalCounts,
                              globalEval: EvalCounts,
-                             timings: Timings) {
-    /** Releases the three Datasets a run returns cached. */
-    def unpersist(): RunOutput = { Seq(localDets, mentions, finalSpans).foreach(_.unpersist()); this }
-  }
+                             timings: Timings)
 
   private def now(): Long = System.nanoTime()
   private def secs(from: Long, to: Long): Double = (to - from) / 1e9
 
-  /** Local EMD phase. For deep systems, `chargeEmbeddingCost` additionally
-    * materializes token embeddings for every token of the stream (what
-    * TweetBase records in the paper); we reduce them to a checksum rather
-    * than storing, since the mining phase recomputes deterministically.
+  private val SpanEncoder: Encoder[(Long, Int, Int, Int)] =
+    Encoders.tuple(Encoders.scalaLong, Encoders.scalaInt, Encoders.scalaInt, Encoders.scalaInt)
+
+  /** Local EMD phase of an iteration, in one narrow job: every partition
+    * runs [[LocalEmd.detector]] on its tweets and the driver collects the
+    * detections, in partition order. For deep systems,
+    * `chargeEmbeddingCost` additionally materializes token embeddings for
+    * every token of the stream (what TweetBase records in the paper), in a
+    * job of its own; we reduce them to a checksum rather than storing,
+    * since the mining phase recomputes deterministically.
     */
-  def localPhase(tweets: Dataset[Tweet],
+  def localPhase(tweets: RDD[Tweet],
                  system: LocalEmd,
                  spec: TweetGen.Spec,
-                 chargeEmbeddingCost: Boolean): Dataset[Detection] = {
-    val spark = tweets.sparkSession
-    import spark.implicits._
-    val dets = fill(system.detectAll(tweets, spec).persist(StorageLevel.MEMORY_AND_DISK))
+                 chargeEmbeddingCost: Boolean): Seq[Detection] = {
+    val dets = tweets.flatMap(system.detector(spec)).collect()
     if (system.deep && chargeEmbeddingCost) {
       val dim = system.dim
       val salt = system.params.salt
@@ -70,49 +74,59 @@ object Globalizer {
           s += e(0) + e(dim - 1)
         }
         s
-      }.rdd.sum()
+      }.sum()
     }
-    dets
+    dets.toSeq
   }
 
-  /** Fills the cache of a persisted Dataset in one narrow job. (Under AQE a
-    * `Dataset.count()` plans a partial and a final aggregate: two or three
-    * jobs.)
-    */
-  private[core] def fill[T](ds: Dataset[T]): Dataset[T] = {
-    ds.rdd.count()
-    ds
+  /** [[localPhase]] of a Dataset's tweets, as a local Dataset. */
+  def localPhase(tweets: Dataset[Tweet],
+                 system: LocalEmd,
+                 spec: TweetGen.Spec,
+                 chargeEmbeddingCost: Boolean): Dataset[Detection] = {
+    val spark = tweets.sparkSession
+    import spark.implicits._
+    localPhase(tweets.rdd, system, spec, chargeEmbeddingCost).toDS()
   }
 
   /** Seed entity candidates: distinct case-insensitive keys of the local
-    * detections, sorted. Each partition sends its own distinct keys and the
-    * driver merges them: one narrow job, no shuffle.
+    * detections, sorted.
     */
-  def seedKeys(dets: Dataset[Detection]): Seq[String] = {
-    val spark = dets.sparkSession
-    import spark.implicits._
-    dets.mapPartitions(_.map(_.key).toSet.iterator).collect().distinct.sorted.toSeq
+  def seedKeys(dets: Seq[Detection]): Seq[String] = dets.map(_.key).distinct.sorted
+
+  /** [[seedKeys]] of detections held in a Dataset. */
+  def seedKeys(dets: Dataset[Detection]): Seq[String] = seedKeys(dets.collect().toSeq)
+
+  /** Final output assembly from classifier bands, on the driver:
+    * α → all mined mentions of the candidate; γ → only Local EMD's own
+    * detections of it; β, or no band, → nothing. Returns a local DataFrame
+    * over [[Metrics.SpanCols]].
+    *
+    * The union is distinct by construction: the CTrie scan yields
+    * non-overlapping spans per sentence, [[LocalEmd.detector]] yields each
+    * detection of a sentence once, and a span's key (hence its band) is a
+    * function of its surface, so no span is both α and γ. This holds when
+    * (tweetId, sentId) identifies one input row.
+    */
+  def assembleOutput(spark: SparkSession,
+                     mentions: Seq[MentionSpan],
+                     localDets: Seq[Detection],
+                     band: String => Option[Int]): DataFrame = {
+    val alpha = mentions.collect {
+      case m if band(m.key).contains(EntityClassifier.Alpha) => (m.tweetId, m.sentId, m.start, m.len)
+    }
+    val gamma = localDets.collect {
+      case d if band(d.key).contains(EntityClassifier.Gamma) => (d.tweetId, d.sentId, d.start, d.len)
+    }
+    spark.createDataset(alpha ++ gamma)(SpanEncoder).toDF(Metrics.SpanCols: _*)
   }
 
-  /** Final output assembly from classifier bands:
-    * α → all mined mentions of the candidate; γ → only Local EMD's own
-    * detections of it; β → nothing.
-    *
-    * The union is distinct by construction, so it needs no shuffle: the
-    * CTrie scan yields non-overlapping spans per sentence, `detectAll`
-    * yields each detection of a sentence once, and a span's key (hence its
-    * band) is a function of its surface, so no span is both α and γ. This
-    * holds when (tweetId, sentId) identifies one input row.
-    */
+  /** [[assembleOutput]] of mined mentions and detections held in Datasets. */
   def assembleOutput(mentions: Dataset[MentionEmb],
                      localDets: Dataset[Detection],
-                     bands: Map[String, Int]): DataFrame = {
-    val band = mentions.sparkSession.sparkContext.broadcast(bands)
-    val spanCols = Metrics.SpanCols.map(col)
-    val alpha = mentions.filter(m => band.value.get(m.key).contains(EntityClassifier.Alpha))
-    val gamma = localDets.filter(d => band.value.get(d.key).contains(EntityClassifier.Gamma))
-    alpha.select(spanCols: _*).union(gamma.select(spanCols: _*))
-  }
+                     bands: Map[String, Int]): DataFrame =
+    assembleOutput(mentions.sparkSession, mentions.collect().toSeq.map(MentionSpan.of),
+      localDets.collect().toSeq, bands.get)
 
   /** One full pipeline run over a dataset with a trained classifier (and,
     * for deep systems, a trained Phrase Embedder).
@@ -123,21 +137,25 @@ object Globalizer {
           clf: EntityClassifier,
           phraseEmbedder: Option[PhraseEmbedder],
           chargeEmbeddingCost: Boolean = true): RunOutput = {
+    import spark.implicits._
     // Data loading, not attributed to either phase.
-    val tweets = fill(TweetGen.generate(spark, spec).persist(StorageLevel.MEMORY_AND_DISK))
+    val tweets = TweetGen.generate(spark, spec).persist(StorageLevel.MEMORY_AND_DISK)
+    val batch = tweets.rdd
+    batch.count()
 
     val t0 = now()
-    val localDets = localPhase(tweets, system, spec, chargeEmbeddingCost)
+    val localDets = localPhase(batch, system, spec, chargeEmbeddingCost)
     val t1 = now()
-    val global = StreamingGlobalizer.globalPhase(tweets, localDets, spec, system, clf, phraseEmbedder,
-      new StreamingGlobalizer.State)
+    val state = new StreamingGlobalizer.State
+    val global = StreamingGlobalizer.globalPhase(spark, batch, localDets, spec, system, clf, phraseEmbedder, state)
     val t2 = now()
 
+    val dets = localDets.toDS()
     val Seq(localEval, globalEval) =
-      Metrics.evaluateAll(Seq(localDets.toDF(), global.spans), Metrics.goldRows(tweets))
+      Metrics.evaluateAll(Seq(dets.toDF(), global.spans), Metrics.goldRows(tweets))
     tweets.unpersist()
 
-    RunOutput(localDets, global.mentions, global.scored, global.spans, localEval, globalEval,
+    RunOutput(dets, global.mentions.toDS(), state.scored, global.spans, localEval, globalEval,
       Timings(secs(t0, t1), secs(t1, t2)))
   }
 }

@@ -9,6 +9,13 @@ import repro.emd.{LocalEmd, TokenEmbedder}
 case class MentionEmb(dataset: String, tweetId: Long, sentId: Int, start: Int, len: Int,
                       key: String, surface: String, emb: Array[Double])
 
+/** A mined mention's span and candidate key, without its embedding. */
+case class MentionSpan(tweetId: Long, sentId: Int, start: Int, len: Int, key: String)
+
+object MentionSpan {
+  def of(m: MentionEmb): MentionSpan = MentionSpan(m.tweetId, m.sentId, m.start, m.len, m.key)
+}
+
 /** Occurrence mining (paper Sec. V-A + V-B): scan every tweet-sentence
   * against the broadcast CTrie of seed candidates, recover all mentions
   * (including ones Local EMD missed, and corrected partials), and attach a
@@ -41,6 +48,16 @@ object MentionExtractor {
     }
   }
 
+  /** [[mentionsOf]] against the broadcast trie, for use inside Spark tasks. */
+  def miner(trie: Broadcast[CTrie],
+            system: LocalEmd,
+            datasetSeed: Long,
+            phraseEmbedder: Option[PhraseEmbedder]): Tweet => Seq[MentionEmb] = {
+    require(!system.deep || phraseEmbedder.isDefined,
+      s"deep system ${system.name} requires a trained PhraseEmbedder")
+    t => mentionsOf(t, trie.value, system, datasetSeed, phraseEmbedder)
+  }
+
   /** Distributed scan: one pass over the tweets with the broadcast trie. */
   def mine(tweets: Dataset[Tweet],
            trie: Broadcast[CTrie],
@@ -49,8 +66,6 @@ object MentionExtractor {
            phraseEmbedder: Option[PhraseEmbedder]): Dataset[MentionEmb] = {
     val spark = tweets.sparkSession
     import spark.implicits._
-    require(!system.deep || phraseEmbedder.isDefined,
-      s"deep system ${system.name} requires a trained PhraseEmbedder")
-    tweets.flatMap(t => mentionsOf(t, trie.value, system, datasetSeed, phraseEmbedder))
+    tweets.flatMap(miner(trie, system, datasetSeed, phraseEmbedder))
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.storage.StorageLevel
 import repro.data.TweetGen
 import repro.emd.LocalEmd
 
@@ -19,17 +19,26 @@ import scala.collection.mutable
   * An iteration is Local EMD on the batch followed by [[globalPhase]]: the
   * batch is mined against the cumulative CTrie and every candidate is
   * classified under its updated global embedding. `globalPhase` is the only
-  * copy of that chain. [[processBatch]] runs it for the driver-side loop
-  * [[runBatched]] and for the Structured Streaming `foreachBatch` sink of
-  * [[runStream]]; the batch pipeline [[Globalizer.run]] is one iteration
-  * over the whole dataset on a fresh `State`.
+  * copy of that chain. It runs on the batch's RDD in two narrow jobs, local
+  * detection and mining with pooling, whose per-partition results the
+  * driver collects and merges; no step plans a query or caches anything.
+  * [[processBatch]] runs it for the driver-side loop [[runBatched]] and for
+  * the Structured Streaming `foreachBatch` sink of [[runStream]]; the batch
+  * pipeline [[Globalizer.run]] is one iteration over the whole dataset on a
+  * fresh `State`.
   */
 object StreamingGlobalizer {
 
-  /** Mutable cross-batch state (driver-held; candidate counts are small). */
+  /** Mutable cross-batch state, held on the driver: candidate keys, their
+    * pools, and each candidate's score under the classifier that last
+    * scored it.
+    */
   final class State {
     val keys: mutable.Set[String] = mutable.Set.empty
     val pools: mutable.TreeMap[String, GlobalPooling.Pool] = mutable.TreeMap.empty
+    /** Scores of the candidates whose pools did not change since `scorer` scored them. */
+    private val scores = mutable.HashMap.empty[String, Double]
+    private var scorer: EntityClassifier = _
 
     /** Every candidate with its finished pool, sorted by key. */
     def records: Seq[CandidateRecord] =
@@ -37,51 +46,81 @@ object StreamingGlobalizer {
 
     /** The CandidateBase update of one iteration: register the batch's seed
       * candidates, mine the batch against the cumulative CTrie and merge the
-      * batch's pools. Returns the batch's mined mentions, cached.
+      * batch's pools. Mining and pooling are one narrow job: each partition
+      * scans its tweets and adds their mentions into per-key pools
+      * ([[GlobalPooling.partitionPools]]), keeping each mention's span and
+      * key; the driver merges the pools in partition order and destroys the
+      * CTrie's broadcast. A merged candidate's score is dropped, for
+      * [[scoreWith]] to recompute. Returns the batch's mentions in partition
+      * order.
       */
-    def absorb(batch: Dataset[Tweet],
-               localDets: Dataset[Detection],
+    def absorb(batch: RDD[Tweet],
+               localDets: Seq[Detection],
                spec: TweetGen.Spec,
                system: LocalEmd,
-               phraseEmbedder: Option[PhraseEmbedder]): Dataset[MentionEmb] = {
+               phraseEmbedder: Option[PhraseEmbedder]): Seq[MentionSpan] = {
       keys ++= Globalizer.seedKeys(localDets)
-      val trie = batch.sparkSession.sparkContext.broadcast(CTrie.fromKeys(keys))
-      val mentions = MentionExtractor.mine(batch, trie, system, spec.seed, phraseEmbedder)
-        .persist(StorageLevel.MEMORY_AND_DISK)
-      // Pooling's one job also fills the mentions' cache.
-      GlobalPooling.mergeInto(pools, GlobalPooling.pools(mentions)(_.key, _.emb))
-      mentions
+      val trie = batch.sparkContext.broadcast(CTrie.fromKeys(keys))
+      val mine = MentionExtractor.miner(trie, system, spec.seed, phraseEmbedder)
+      val parts =
+        try batch.mapPartitions { tweets =>
+          val spans = mutable.ArrayBuffer.empty[MentionSpan]
+          val mentions = tweets.flatMap(mine).map { m => spans += MentionSpan.of(m); m }
+          val part = GlobalPooling.partitionPools(mentions)(_.key, _.emb)
+          Iterator.single((part, spans.toArray))
+        }.collect()
+        finally trie.destroy()
+      val batchPools = GlobalPooling.merged(parts.map(_._1))
+      GlobalPooling.mergeInto(pools, batchPools)
+      scores --= batchPools.keys
+      parts.toSeq.flatMap(_._2)
     }
+
+    /** Scores every candidate under `clf`. Only candidates whose pool
+      * changed since the last call are scored again, unless that call used
+      * another classifier: a score is a function of (key, count, mean).
+      */
+    def scoreWith(clf: EntityClassifier): Unit = {
+      if (clf ne scorer) { scores.clear(); scorer = clf }
+      pools.foreach { case (k, p) =>
+        if (!scores.contains(k)) scores(k) = clf.score(CandidateRecord(k, p.count, p.mean))
+      }
+    }
+
+    /** A candidate's α/β/γ band, if [[scoreWith]] scored it. */
+    def band(key: String): Option[Int] = scores.get(key).map(EntityClassifier.bandOf)
+
+    /** Every candidate with its score, sorted by key; needs [[scoreWith]] first. */
+    def scored: Seq[(CandidateRecord, Double)] = records.map(r => (r, scores(r.key)))
   }
 
   /** What the global half of an iteration returns: the batch's mined
-    * mentions and final spans (both cached), and every candidate of the
-    * state with its classifier score.
+    * mentions and its final spans, a local DataFrame.
     */
-  final case class GlobalOutput(mentions: Dataset[MentionEmb],
-                                scored: Seq[(CandidateRecord, Double)],
-                                spans: DataFrame)
+  final case class GlobalOutput(mentions: Seq[MentionSpan], spans: DataFrame)
 
   /** The global half of one iteration over `batch`, given its local
     * detections: update `state` with the batch ([[State.absorb]]), score
-    * every candidate and assemble the batch's output spans.
+    * the candidates it touched and assemble the batch's output spans on the
+    * driver ([[Globalizer.assembleOutput]]).
     */
-  def globalPhase(batch: Dataset[Tweet],
-                  localDets: Dataset[Detection],
+  def globalPhase(spark: SparkSession,
+                  batch: RDD[Tweet],
+                  localDets: Seq[Detection],
                   spec: TweetGen.Spec,
                   system: LocalEmd,
                   clf: EntityClassifier,
                   phraseEmbedder: Option[PhraseEmbedder],
                   state: State): GlobalOutput = {
     val mentions = state.absorb(batch, localDets, spec, system, phraseEmbedder)
-    val scored = state.records.map(r => (r, clf.score(r)))
-    val bands = scored.map { case (r, s) => r.key -> EntityClassifier.bandOf(s) }.toMap
-    val spans = Globalizer.fill(Globalizer.assembleOutput(mentions, localDets, bands).cache())
-    GlobalOutput(mentions, scored, spans)
+    state.scoreWith(clf)
+    GlobalOutput(mentions, Globalizer.assembleOutput(spark, mentions, localDets, state.band))
   }
 
-  /** One framework iteration over a micro-batch; returns the batch's final
-    * entity-mention spans (tweetId, sentId, start, len).
+  /** One framework iteration over a micro-batch, in two Spark jobs over
+    * `batch.rdd` (local detection, then mining with pooling); returns the
+    * batch's final entity-mention spans (tweetId, sentId, start, len) as a
+    * local DataFrame. Nothing stays cached or broadcast.
     */
   def processBatch(batch: Dataset[Tweet],
                    spec: TweetGen.Spec,
@@ -89,18 +128,16 @@ object StreamingGlobalizer {
                    clf: EntityClassifier,
                    phraseEmbedder: Option[PhraseEmbedder],
                    state: State): DataFrame = {
-    val localDets = Globalizer.localPhase(batch, system, spec, chargeEmbeddingCost = false)
-    val out = globalPhase(batch, localDets, spec, system, clf, phraseEmbedder, state)
-    out.mentions.unpersist()
-    localDets.unpersist()
-    out.spans
+    val tweets = batch.rdd
+    val localDets = Globalizer.localPhase(tweets, system, spec, chargeEmbeddingCost = false)
+    globalPhase(batch.sparkSession, tweets, localDets, spec, system, clf, phraseEmbedder, state).spans
   }
 
   /** Drive a whole dataset through the framework in `nBatches` sequential
     * micro-batches (driver loop; used by tests and the streaming bench).
-    * Returns the union of per-batch outputs, cached (the per-batch spans
-    * are released), and the final state. The micro-batches hold disjoint
-    * tweets, so the union is as distinct as each batch's output.
+    * Returns the union of per-batch outputs and the final state. The
+    * micro-batches hold disjoint tweets, so the union is as distinct as
+    * each batch's output.
     */
   def runBatched(spark: SparkSession,
                  spec: TweetGen.Spec,
@@ -117,9 +154,7 @@ object StreamingGlobalizer {
       val batch = spark.range(lo, hi).as[Long].map(id => TweetGen.makeTweet(spec, id))
       processBatch(batch, spec, system, clf, phraseEmbedder, state)
     }
-    val out = Globalizer.fill(outs.reduce(_ union _).cache())
-    outs.foreach(_.unpersist())
-    (out, state)
+    (outs.reduce(_ union _), state)
   }
 
   /** Structured Streaming execution: consume a stream of tweets (any

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.storage.StorageLevel
 import repro.data.{StsGen, TweetGen}
 import repro.emd.LocalEmd
 import repro.util.Rng
@@ -49,12 +48,10 @@ object Training {
                    system: LocalEmd,
                    pe: Option[PhraseEmbedder],
                    spec: TweetGen.Spec = TweetGen.D5): Seq[(CandidateRecord, Boolean)] = {
-    val tweets = TweetGen.generate(spark, spec).persist(StorageLevel.MEMORY_AND_DISK)
+    val tweets = TweetGen.generate(spark, spec).rdd
     val dets = Globalizer.localPhase(tweets, system, spec, chargeEmbeddingCost = false)
     val state = new StreamingGlobalizer.State
-    state.absorb(tweets, dets, spec, system, pe).unpersist()
-    dets.unpersist()
-    tweets.unpersist()
+    state.absorb(tweets, dets, spec, system, pe)
     val entityKeys = spec.entityKeys
     state.records.map(r => (r, entityKeys.contains(r.key)))
   }

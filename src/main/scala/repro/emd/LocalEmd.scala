@@ -115,18 +115,22 @@ trait LocalEmd extends Serializable {
     out.result()
   }
 
-  /** Distributed Local EMD over a dataset. A sentence's repeated detections
-    * (two junk draws may pick the same token) are emitted once, so every
-    * span of the result is distinct: `Globalizer.assembleOutput` relies on
-    * it.
+  /** Local EMD on one tweet-sentence of `spec`. A sentence's repeated
+    * detections (two junk draws may pick the same token) are emitted once,
+    * so every span of a dataset's detections is distinct:
+    * `Globalizer.assembleOutput` relies on it.
     */
+  def detector(spec: TweetGen.Spec): Tweet => Seq[Detection] = {
+    val hardness = spec.hardness
+    val dsSeed = spec.seed
+    t => detect(t, hardness, dsSeed).distinct
+  }
+
+  /** Distributed Local EMD over a dataset: [[detector]] on every tweet. */
   def detectAll(tweets: Dataset[Tweet], spec: TweetGen.Spec): Dataset[Detection] = {
     val spark = tweets.sparkSession
     import spark.implicits._
-    val hardness = spec.hardness
-    val dsSeed = spec.seed
-    val self = this
-    tweets.flatMap(t => self.detect(t, hardness, dsSeed).distinct)
+    tweets.flatMap(detector(spec))
   }
 }
 

@@ -92,7 +92,7 @@ object Experiments {
                              f1GainPct: Double, overheadSec: Double)
 
   def table3Row(spark: SparkSession, spec: TweetGen.Spec, trained: Training.Trained): Table3Row = {
-    val out = Globalizer.run(spark, spec, trained.system, trained.classifier, trained.phraseEmbedder).unpersist()
+    val out = Globalizer.run(spark, spec, trained.system, trained.classifier, trained.phraseEmbedder)
     val l = out.localEval; val g = out.globalEval
     val gain = if (l.f1 == 0) 0.0 else (g.f1 - l.f1) / l.f1 * 100.0
     Table3Row(spec.name, trained.system.name,
@@ -131,7 +131,7 @@ object Experiments {
     val decoder = TrainedCache.hireDecoder(spark)
     specs.flatMap { spec =>
       val glob = Globalizer.run(spark, spec, Aguilar, trained.classifier, trained.phraseEmbedder,
-        chargeEmbeddingCost = false).unpersist().globalEval
+        chargeEmbeddingCost = false).globalEval
       val tweets = TweetGen.generate(spark, spec)
       val hireSpans: DataFrame = HireNer.run(spark, spec, Aguilar, decoder)
       val hire = Metrics.evaluate(hireSpans, tweets)

@@ -1,11 +1,16 @@
 package repro
 
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.scalatest.funsuite.AnyFunSuite
 import repro.jobs.Jobs
+
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
 
 /** Base for every test: one local-mode SparkSession for the whole run,
   * built like the job entrypoints' (`Jobs.session`).
@@ -25,6 +30,29 @@ trait SparkSpec extends AnyFunSuite {
     case m: InMemoryTableScanExec => Seq(m.relation.cachedPlan)
     case _ => p.children
   }).flatMap(planNodes)
+
+  /** `body`'s result and the stage count of each Spark job it started, in
+    * start order. A job that reads a shuffle lists its map stage too.
+    */
+  def stagesPerJob[T](body: => T): (T, Seq[Int]) = {
+    val sc = spark.sparkContext
+    val probe = "repro.test.stagesPerJob"
+    val stages = new ConcurrentLinkedQueue[Int]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty(probe) != null)) stages.add(e.stageInfos.size)
+    }
+    sc.addSparkListener(listener)
+    sc.setLocalProperty(probe, "1")
+    val out =
+      try body
+      finally {
+        sc.setLocalProperty(probe, null)
+        ListenerBusDrain(sc)
+        sc.removeSparkListener(listener)
+      }
+    (out, stages.asScala.toSeq)
+  }
 }
 
 object SparkSpec {

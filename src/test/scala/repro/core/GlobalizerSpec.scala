@@ -84,7 +84,8 @@ class GlobalizerSpec extends SparkSpec {
     val localR = runAguilar.localEval.recall
     // Mention extraction alone: treat every candidate as an entity (α).
     val allAlpha = runAguilar.scored.map { case (r, _) => r.key -> EntityClassifier.Alpha }.toMap
-    val extractionOnly = Globalizer.assembleOutput(runAguilar.mentions, runAguilar.localDets, allAlpha)
+    val extractionOnly = Globalizer.assembleOutput(spark, runAguilar.mentions.collect().toSeq,
+      runAguilar.localDets.collect().toSeq, allAlpha.get)
     val extractionR = Metrics.evaluate(extractionOnly, tweets).recall
     val fullR = runAguilar.globalEval.recall
     assert(extractionR >= localR, s"extraction=$extractionR local=$localR")
@@ -185,7 +186,6 @@ class GlobalizerSpec extends SparkSpec {
         chargeEmbeddingCost = false)
       assert((out.localEval, out.globalEval) == ((local, global)), system.name)
       assert(out.finalSpans.count() == out.finalSpans.distinct().count(), system.name)
-      out.unpersist()
     }
   }
 
@@ -197,12 +197,11 @@ class GlobalizerSpec extends SparkSpec {
     }
   }
 
-  test("a run leaves cached only the Datasets it returns") {
+  test("a run leaves nothing cached") {
     val sc = spark.sparkContext
     val clf = trainedChunker.classifier
     val before = sc.getPersistentRDDs.size
-    val out = Globalizer.run(spark, spec, NpChunker, clf, None, chargeEmbeddingCost = false)
-    out.unpersist()
+    Globalizer.run(spark, spec, NpChunker, clf, None, chargeEmbeddingCost = false)
     assert(sc.getPersistentRDDs.size == before)
   }
 
@@ -215,9 +214,15 @@ class GlobalizerSpec extends SparkSpec {
 
   test("output assembly is narrow: no aggregation and no shuffle") {
     val bands = runChunker.scored.map { case (r, s) => r.key -> EntityClassifier.bandOf(s) }.toMap
-    val qe = Globalizer.assembleOutput(runChunker.mentions, runChunker.localDets, bands).queryExecution
+    val mentions = runChunker.mentions.collect().toSeq
+    val dets = runChunker.localDets.collect().toSeq
+    val (out, jobs) = stagesPerJob(Globalizer.assembleOutput(spark, mentions, dets, bands.get))
+    // Assembly runs on the driver: it starts no Spark job.
+    assert(jobs.isEmpty, jobs)
+    val qe = out.queryExecution
     assert(qe.optimizedPlan.collect { case a: Aggregate => a }.isEmpty, qe.optimizedPlan)
     assert(!planNodes(qe.executedPlan).exists(_.isInstanceOf[Exchange]), qe.executedPlan)
+    assert(out.count() == runChunker.finalSpans.count())
   }
 
   test("repeated detections of a sentence are emitted once, and the output stays distinct") {
@@ -229,7 +234,6 @@ class GlobalizerSpec extends SparkSpec {
       chargeEmbeddingCost = false)
     assert(out.finalSpans.count() == out.finalSpans.distinct().count())
     assert((out.localEval, out.globalEval) == ((runChunker.localEval, runChunker.globalEval)))
-    out.unpersist()
   }
 
   test("run is deterministic in evaluation counts") {

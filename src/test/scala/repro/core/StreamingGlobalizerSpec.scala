@@ -1,15 +1,15 @@
 package repro.core
 
-import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.BroadcastBlocks
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
+import org.scalatest.concurrent.Eventually.eventually
+import org.scalatest.concurrent.PatienceConfiguration.Timeout
+import org.scalatest.time.{Seconds, Span}
 import repro.{SparkSpec, TestFixtures}
 import repro.data.TweetGen
 import repro.emd.{Aguilar, NpChunker}
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import scala.collection.mutable
-import scala.jdk.CollectionConverters._
 
 class StreamingGlobalizerSpec extends SparkSpec {
 
@@ -100,47 +100,67 @@ class StreamingGlobalizerSpec extends SparkSpec {
       "streaming global must still beat local EMD")
   }
 
-  test("runBatched leaves cached only the DataFrame it returns") {
+  test("runBatched leaves nothing cached") {
     val sc = spark.sparkContext
     val clf = trained.classifier
     val before = sc.getPersistentRDDs.size
     val (out, _) = StreamingGlobalizer.runBatched(
       spark, spec, Aguilar, clf, trained.phraseEmbedder, nBatches = 2)
     assert(out.count() == out.distinct().count())
-    out.unpersist()
     assert(sc.getPersistentRDDs.size == before)
   }
 
-  test("a warm processBatch runs 4 Spark jobs: every step is one narrow job") {
+  private def batchOf(lo: Long, hi: Long) = {
     import spark.implicits._
-    val sc = spark.sparkContext
     val sp = spec // local copy: the lambda must not capture the test class
-    def batch(lo: Long, hi: Long) = spark.range(lo, hi).as[Long].map(id => TweetGen.makeTweet(sp, id))
+    spark.range(lo, hi).as[Long].map(id => TweetGen.makeTweet(sp, id))
+  }
+
+  test("a warm processBatch runs 2 Spark jobs of one stage each and persists nothing") {
+    val sc = spark.sparkContext
     val state = new StreamingGlobalizer.State
     def process(lo: Long, hi: Long): Unit = StreamingGlobalizer.processBatch(
-      batch(lo, hi), spec, Aguilar, trained.classifier, trained.phraseEmbedder, state).unpersist()
+      batchOf(lo, hi), spec, Aguilar, trained.classifier, trained.phraseEmbedder, state).collect()
     process(0, 300)
 
-    val probe = "repro.test.jobCount"
-    val stagesPerJob = new ConcurrentLinkedQueue[Int]
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty(probe) != null)) stagesPerJob.add(e.stageInfos.size)
+    val persisted = sc.getPersistentRDDs.keySet
+    val (_, stages) = stagesPerJob(process(300, 600))
+    // Local detection, then mining with pooling; the output is a local
+    // DataFrame, which collects without a job. One stage per job means no
+    // shuffle.
+    assert(stages.size == 2, stages)
+    assert(stages.forall(_ == 1), stages)
+    assert(sc.getPersistentRDDs.keySet == persisted)
+  }
+
+  test("warm micro-batches leave no RDD persisted and no broadcast behind") {
+    val sc = spark.sparkContext
+    val state = new StreamingGlobalizer.State
+    def process(b: Int): Unit = StreamingGlobalizer.processBatch(
+      batchOf(b * 30L, b * 30L + 30), spec, Aguilar, trained.classifier, trained.phraseEmbedder, state).collect()
+    process(0)
+    val persisted = sc.getPersistentRDDs.keySet
+    val broadcasts = BroadcastBlocks.held(sc)
+    (1 to 20).foreach(process)
+    assert(sc.getPersistentRDDs.keySet == persisted)
+    // A destroyed broadcast leaves the driver's block manager asynchronously;
+    // an earlier one may meanwhile be released by the ContextCleaner.
+    eventually(Timeout(Span(10, Seconds))) {
+      val left = BroadcastBlocks.held(sc)
+      assert(left.subsetOf(broadcasts), left -- broadcasts)
     }
-    sc.addSparkListener(listener)
-    sc.setLocalProperty(probe, "1")
-    try process(300, 600)
-    finally {
-      sc.setLocalProperty(probe, null)
-      ListenerBusDrain(sc)
-      sc.removeSparkListener(listener)
-    }
-    // One job each for localPhase's cache fill, seedKeys, mining with
-    // pooling (which fills the mentions' cache) and the spans' cache fill.
-    // A job that reads a shuffle lists its map stage too, so one stage per
-    // job means no shuffle.
-    assert(stagesPerJob.size == 4, stagesPerJob)
-    assert(stagesPerJob.asScala.forall(_ == 1), stagesPerJob)
+  }
+
+  test("cached scores equal a full re-score, and another classifier re-scores everything") {
+    val state = new StreamingGlobalizer.State
+    def process(clf: EntityClassifier, lo: Long): Unit = StreamingGlobalizer.processBatch(
+      batchOf(lo, lo + 150), spec, Aguilar, clf, trained.phraseEmbedder, state).collect()
+    def rescored(clf: EntityClassifier) = state.records.map(r => (r.key, clf.score(r)))
+    Seq(0L, 150L, 300L).foreach(process(trained.classifier, _))
+    assert(state.scored.map { case (r, s) => (r.key, s) } == rescored(trained.classifier))
+    val other = new EntityClassifier(trained.classifier.inputDim, seed = 7L)
+    process(other, 450L)
+    assert(state.scored.map { case (r, s) => (r.key, s) } == rescored(other))
   }
 
   test("candidate records are sorted by key and independent of the input partitioning") {
@@ -149,11 +169,10 @@ class StreamingGlobalizerSpec extends SparkSpec {
     Seq(NpChunker -> 0.0, Aguilar -> 1e-12).foreach { case (system, relTol) =>
       val pe = TestFixtures.trained(spark, system).phraseEmbedder
       val byK = Seq(1, 3, 8).map { k =>
-        val tweets = spark.range(0, sp.nTweets, 1, k).as[Long].map(id => TweetGen.makeTweet(sp, id))
+        val tweets = spark.range(0, sp.nTweets, 1, k).as[Long].map(id => TweetGen.makeTweet(sp, id)).rdd
         val dets = Globalizer.localPhase(tweets, system, sp, chargeEmbeddingCost = false)
         val state = new StreamingGlobalizer.State
-        state.absorb(tweets, dets, sp, system, pe).unpersist()
-        dets.unpersist()
+        state.absorb(tweets, dets, sp, system, pe)
         state.records
       }
       byK.foreach { recs =>
