@@ -20,8 +20,6 @@ final class EntityClassifier(val inputDim: Int, seed: Long) extends Serializable
 
   def score(rec: CandidateRecord): Double =
     mlp.predictProba(EntityClassifier.features(rec))
-
-  def label(rec: CandidateRecord): Int = EntityClassifier.bandOf(score(rec))
 }
 
 object EntityClassifier {

@@ -1,7 +1,8 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
 import repro.data.TweetGen
 import repro.emd.{LocalEmd, TokenEmbedder}
@@ -44,9 +45,6 @@ object Globalizer {
 
   private def now(): Long = System.nanoTime()
   private def secs(from: Long, to: Long): Double = (to - from) / 1e9
-
-  private val SpanEncoder: Encoder[(Long, Int, Int, Int)] =
-    Encoders.tuple(Encoders.scalaLong, Encoders.scalaInt, Encoders.scalaInt, Encoders.scalaInt)
 
   /** Local EMD phase of an iteration, in one narrow job: every partition
     * runs [[LocalEmd.detector]] on its tweets and the driver collects the
@@ -99,8 +97,7 @@ object Globalizer {
 
   /** Final output assembly from classifier bands, on the driver:
     * α → all mined mentions of the candidate; γ → only Local EMD's own
-    * detections of it; β, or no band, → nothing. Returns a local DataFrame
-    * over [[Metrics.SpanCols]].
+    * detections of it; β, or no band, → nothing. Starts no Spark job.
     *
     * The union is distinct by construction: the CTrie scan yields
     * non-overlapping spans per sentence, [[LocalEmd.detector]] yields each
@@ -108,28 +105,31 @@ object Globalizer {
     * function of its surface, so no span is both α and γ. This holds when
     * (tweetId, sentId) identifies one input row.
     */
-  def assembleOutput(spark: SparkSession,
-                     mentions: Seq[MentionSpan],
+  def assembleOutput(mentions: Seq[MentionSpan],
                      localDets: Seq[Detection],
-                     band: String => Option[Int]): DataFrame = {
-    val alpha = mentions.collect {
-      case m if band(m.key).contains(EntityClassifier.Alpha) => (m.tweetId, m.sentId, m.start, m.len)
-    }
-    val gamma = localDets.collect {
-      case d if band(d.key).contains(EntityClassifier.Gamma) => (d.tweetId, d.sentId, d.start, d.len)
-    }
-    spark.createDataset(alpha ++ gamma)(SpanEncoder).toDF(Metrics.SpanCols: _*)
-  }
+                     band: String => Option[Int]): Seq[Metrics.Span] =
+    mentions.collect { case m if band(m.key).contains(EntityClassifier.Alpha) => m.span } ++
+      localDets.collect { case d if band(d.key).contains(EntityClassifier.Gamma) => d.span }
 
-  /** [[assembleOutput]] of mined mentions and detections held in Datasets. */
+  /** [[assembleOutput]] of mined mentions and detections held in Datasets,
+    * as a local DataFrame over [[Metrics.SpanCols]]. The mentions are
+    * projected to their spans and keys before they are collected, so their
+    * embeddings stay on the executors.
+    */
   def assembleOutput(mentions: Dataset[MentionEmb],
                      localDets: Dataset[Detection],
-                     bands: Map[String, Int]): DataFrame =
-    assembleOutput(mentions.sparkSession, mentions.collect().toSeq.map(MentionSpan.of),
-      localDets.collect().toSeq, bands.get)
+                     bands: Map[String, Int]): DataFrame = {
+    val spark = mentions.sparkSession
+    import spark.implicits._
+    val spans = mentions.select((Metrics.SpanCols :+ "key").map(col): _*).as[MentionSpan].collect()
+    Metrics.spanFrame(spark, assembleOutput(spans.toSeq, localDets.collect().toSeq, bands.get))
+  }
 
   /** One full pipeline run over a dataset with a trained classifier (and,
-    * for deep systems, a trained Phrase Embedder).
+    * for deep systems, a trained Phrase Embedder). After the timed phases
+    * the run collects the gold spans in one narrow job and scores the local
+    * detections and the assembled output against them by set arithmetic
+    * ([[Metrics.score]]); no step shuffles.
     */
   def run(spark: SparkSession,
           spec: TweetGen.Spec,
@@ -147,15 +147,15 @@ object Globalizer {
     val localDets = localPhase(batch, system, spec, chargeEmbeddingCost)
     val t1 = now()
     val state = new StreamingGlobalizer.State
-    val global = StreamingGlobalizer.globalPhase(spark, batch, localDets, spec, system, clf, phraseEmbedder, state)
+    val global = StreamingGlobalizer.globalPhase(batch, localDets, spec, system, clf, phraseEmbedder, state)
     val t2 = now()
 
-    val dets = localDets.toDS()
-    val Seq(localEval, globalEval) =
-      Metrics.evaluateAll(Seq(dets.toDF(), global.spans), Metrics.goldRows(tweets))
+    val gold = Metrics.goldSpans(batch)
+    val localEval = Metrics.score(localDets.map(_.span), gold)
+    val globalEval = Metrics.score(global.spans, gold)
     tweets.unpersist()
 
-    RunOutput(dets, global.mentions.toDS(), state.scored, global.spans, localEval, globalEval,
-      Timings(secs(t0, t1), secs(t1, t2)))
+    RunOutput(localDets.toDS(), global.mentions.toDS(), state.scored, Metrics.spanFrame(spark, global.spans),
+      localEval, globalEval, Timings(secs(t0, t1), secs(t1, t2)))
   }
 }

@@ -6,11 +6,12 @@ import repro.core.{SyntacticEmbedding => Syn}
 import repro.emd.{LocalEmd, TokenEmbedder}
 
 /** A candidate mention with its local candidate embedding. */
-case class MentionEmb(dataset: String, tweetId: Long, sentId: Int, start: Int, len: Int,
-                      key: String, surface: String, emb: Array[Double])
+case class MentionEmb(tweetId: Long, sentId: Int, start: Int, len: Int, key: String, emb: Array[Double])
 
 /** A mined mention's span and candidate key, without its embedding. */
-case class MentionSpan(tweetId: Long, sentId: Int, start: Int, len: Int, key: String)
+case class MentionSpan(tweetId: Long, sentId: Int, start: Int, len: Int, key: String) {
+  def span: Metrics.Span = (tweetId, sentId, start, len)
+}
 
 object MentionSpan {
   def of(m: MentionEmb): MentionSpan = MentionSpan(m.tweetId, m.sentId, m.start, m.len, m.key)
@@ -28,23 +29,18 @@ object MentionSpan {
   */
 object MentionExtractor {
 
-  /** Embedding dimension of local candidate embeddings for a system. */
-  def embDim(system: LocalEmd): Int = if (system.deep) system.dim else Syn.Dim
-
   def mentionsOf(tweet: Tweet,
                  trie: CTrie,
                  system: LocalEmd,
                  datasetSeed: Long,
                  phraseEmbedder: Option[PhraseEmbedder]): Seq[MentionEmb] = {
     trie.scan(tweet.tokens.toIndexedSeq).map { case (start, len) =>
-      val surface = tweet.surface(start, len)
       val emb =
         if (system.deep) {
           val pooled = TokenEmbedder.phraseMean(system.dim, system.params.salt, datasetSeed, tweet, start, len)
           phraseEmbedder.map(_.embed(pooled)).getOrElse(pooled)
         } else Syn.embed(tweet.tokens, start, len)
-      MentionEmb(tweet.dataset, tweet.tweetId, tweet.sentId, start, len,
-        Detection.keyOf(surface), surface, emb)
+      MentionEmb(tweet.tweetId, tweet.sentId, start, len, Detection.keyOf(tweet.surface(start, len)), emb)
     }
   }
 

@@ -26,9 +26,10 @@ case class Tweet(dataset: String,
 }
 
 /** A span emitted by a Local EMD system for one tweet-sentence. */
-case class Detection(dataset: String, tweetId: Long, sentId: Int, start: Int, len: Int, surface: String) {
+case class Detection(tweetId: Long, sentId: Int, start: Int, len: Int, surface: String) {
   /** Case-insensitive candidate key, the CTrie/CandidateBase identity. */
   def key: String = Detection.keyOf(surface)
+  def span: Metrics.Span = (tweetId, sentId, start, len)
 }
 
 object Detection {

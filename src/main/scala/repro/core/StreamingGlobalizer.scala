@@ -94,18 +94,17 @@ object StreamingGlobalizer {
     def scored: Seq[(CandidateRecord, Double)] = records.map(r => (r, scores(r.key)))
   }
 
-  /** What the global half of an iteration returns: the batch's mined
-    * mentions and its final spans, a local DataFrame.
+  /** What the global half of an iteration returns, held on the driver: the
+    * batch's mined mentions and its final spans.
     */
-  final case class GlobalOutput(mentions: Seq[MentionSpan], spans: DataFrame)
+  final case class GlobalOutput(mentions: Seq[MentionSpan], spans: Seq[Metrics.Span])
 
   /** The global half of one iteration over `batch`, given its local
     * detections: update `state` with the batch ([[State.absorb]]), score
     * the candidates it touched and assemble the batch's output spans on the
     * driver ([[Globalizer.assembleOutput]]).
     */
-  def globalPhase(spark: SparkSession,
-                  batch: RDD[Tweet],
+  def globalPhase(batch: RDD[Tweet],
                   localDets: Seq[Detection],
                   spec: TweetGen.Spec,
                   system: LocalEmd,
@@ -114,13 +113,14 @@ object StreamingGlobalizer {
                   state: State): GlobalOutput = {
     val mentions = state.absorb(batch, localDets, spec, system, phraseEmbedder)
     state.scoreWith(clf)
-    GlobalOutput(mentions, Globalizer.assembleOutput(spark, mentions, localDets, state.band))
+    GlobalOutput(mentions, Globalizer.assembleOutput(mentions, localDets, state.band))
   }
 
   /** One framework iteration over a micro-batch, in two Spark jobs over
     * `batch.rdd` (local detection, then mining with pooling); returns the
     * batch's final entity-mention spans (tweetId, sentId, start, len) as a
-    * local DataFrame. Nothing stays cached or broadcast.
+    * local DataFrame, built once from the driver-side spans, whose plan
+    * has no aggregate or exchange. Nothing stays cached or broadcast.
     */
   def processBatch(batch: Dataset[Tweet],
                    spec: TweetGen.Spec,
@@ -130,7 +130,8 @@ object StreamingGlobalizer {
                    state: State): DataFrame = {
     val tweets = batch.rdd
     val localDets = Globalizer.localPhase(tweets, system, spec, chargeEmbeddingCost = false)
-    globalPhase(batch.sparkSession, tweets, localDets, spec, system, clf, phraseEmbedder, state).spans
+    val out = globalPhase(tweets, localDets, spec, system, clf, phraseEmbedder, state)
+    Metrics.spanFrame(batch.sparkSession, out.spans)
   }
 
   /** Drive a whole dataset through the framework in `nBatches` sequential

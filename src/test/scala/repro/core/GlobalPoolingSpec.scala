@@ -7,7 +7,7 @@ class GlobalPoolingSpec extends SparkSpec {
   import GlobalPooling.Pool
 
   private def m(key: String, emb: Array[Double], tweetId: Long, start: Int = 0): MentionEmb =
-    MentionEmb("T", tweetId, 0, start, 1, key, key, emb)
+    MentionEmb(tweetId, 0, start, 1, key, emb)
 
   test("empty pool add clones the embedding") {
     val e = Array(1.0, 2.0)

@@ -84,14 +84,14 @@ class GlobalizerSpec extends SparkSpec {
     val localR = runAguilar.localEval.recall
     // Mention extraction alone: treat every candidate as an entity (α).
     val allAlpha = runAguilar.scored.map { case (r, _) => r.key -> EntityClassifier.Alpha }.toMap
-    val extractionOnly = Globalizer.assembleOutput(spark, runAguilar.mentions.collect().toSeq,
-      runAguilar.localDets.collect().toSeq, allAlpha.get)
-    val extractionR = Metrics.evaluate(extractionOnly, tweets).recall
+    val extractionOnly = Metrics.score(Globalizer.assembleOutput(runAguilar.mentions.collect().toSeq,
+      runAguilar.localDets.collect().toSeq, allAlpha.get(_)), Metrics.goldSpans(tweets.rdd))
+    val extractionR = extractionOnly.recall
     val fullR = runAguilar.globalEval.recall
     assert(extractionR >= localR, s"extraction=$extractionR local=$localR")
     assert(extractionR >= fullR, "α-everything has maximal recall")
     // But the classifier recovers precision that extraction-only loses.
-    val extractionP = Metrics.evaluate(extractionOnly, tweets).precision
+    val extractionP = extractionOnly.precision
     assert(runAguilar.globalEval.precision > extractionP)
   }
 
@@ -216,13 +216,28 @@ class GlobalizerSpec extends SparkSpec {
     val bands = runChunker.scored.map { case (r, s) => r.key -> EntityClassifier.bandOf(s) }.toMap
     val mentions = runChunker.mentions.collect().toSeq
     val dets = runChunker.localDets.collect().toSeq
-    val (out, jobs) = stagesPerJob(Globalizer.assembleOutput(spark, mentions, dets, bands.get))
+    val (spans, jobs) = stagesPerJob(Globalizer.assembleOutput(mentions, dets, bands.get(_)))
     // Assembly runs on the driver: it starts no Spark job.
     assert(jobs.isEmpty, jobs)
+    assert(spans.toSet == Metrics.spansOf(runChunker.finalSpans).toSet)
+    // A micro-batch's DataFrame is built from such spans, with no aggregate or exchange.
+    val out = StreamingGlobalizer.processBatch(TweetGen.generate(spark, spec), spec, NpChunker,
+      trainedChunker.classifier, None, new StreamingGlobalizer.State)
     val qe = out.queryExecution
     assert(qe.optimizedPlan.collect { case a: Aggregate => a }.isEmpty, qe.optimizedPlan)
     assert(!planNodes(qe.executedPlan).exists(_.isInstanceOf[Exchange]), qe.executedPlan)
-    assert(out.count() == runChunker.finalSpans.count())
+    assert(out.count() == spans.size)
+  }
+
+  test("a warm run runs one-stage jobs only: at most 4 with NP Chunker, 5 with Aguilar") {
+    // Aguilar's extra job is the embedding-cost pass.
+    Seq((NpChunker, trainedChunker, 4), (Aguilar, trainedAguilar, 5)).foreach { case (system, t, maxJobs) =>
+      def run(): Globalizer.RunOutput = Globalizer.run(spark, spec, system, t.classifier, t.phraseEmbedder)
+      run()
+      val (_, stages) = stagesPerJob(run())
+      assert(stages.nonEmpty && stages.forall(_ == 1), s"${system.name}: $stages")
+      assert(stages.size <= maxJobs, s"${system.name}: $stages")
+    }
   }
 
   test("repeated detections of a sentence are emitted once, and the output stays distinct") {

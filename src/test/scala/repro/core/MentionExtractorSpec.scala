@@ -61,7 +61,7 @@ class MentionExtractorSpec extends SparkSpec {
     val trie = CTrie.fromKeys(Seq("coronavirus"))
     val t = Tweet("T", 2L, 0, Seq("CORONAVIRUS", "cases"), Seq.empty, Seq.empty)
     val m = MentionExtractor.mentionsOf(t, trie, NpChunker, 11L, None).head
-    assert(m.surface == "CORONAVIRUS")
+    assert(t.surface(m.start, m.len) == "CORONAVIRUS")
     assert(m.key == "coronavirus")
   }
 
@@ -114,12 +114,6 @@ class MentionExtractorSpec extends SparkSpec {
       MentionExtractor.mine(ds, bc, Aguilar, spec.seed, None))
   }
 
-  test("embDim reflects the system type") {
-    assert(MentionExtractor.embDim(NpChunker) == 6)
-    assert(MentionExtractor.embDim(Aguilar) == 100)
-    assert(MentionExtractor.embDim(BerTweet) == 300)
-  }
-
   test("an empty trie mines no mentions") {
     val t = Tweet("T", 6L, 0, Seq("a", "b"), Seq.empty, Seq.empty)
     assert(MentionExtractor.mentionsOf(t, new CTrie, NpChunker, 11L, None).isEmpty)
@@ -132,6 +126,6 @@ class MentionExtractorSpec extends SparkSpec {
     val ms = MentionExtractor.mentionsOf(t, trie, NpChunker, 11L, None)
     assert(ms.size == 3)
     assert(ms.map(_.key).toSet == Set("coronavirus"))
-    assert(ms.map(_.surface).toSet == Set("coronavirus", "CORONAVIRUS", "Coronavirus"))
+    assert(ms.map(m => t.surface(m.start, m.len)).toSet == Set("coronavirus", "CORONAVIRUS", "Coronavirus"))
   }
 }

@@ -1,13 +1,17 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Join}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.functions.{col, explode}
 import repro.{Oracle, SparkSpec}
 import repro.data.TweetGen
 import repro.emd.{Aguilar, NpChunker}
 
 class MetricsSpec extends SparkSpec {
+
+  /** One row per gold mention of the tweets, repeats kept: the oracle's own gold. */
+  private def goldRows(tweets: Dataset[Tweet]): DataFrame =
+    tweets.select(col("tweetId"), col("sentId"), explode(col("gold")).as("g"))
+      .select(col("tweetId"), col("sentId"), col("g.start"), col("g.len"))
 
   /** Asserts `e` equals DuckDB's count of `pred`'s distinct spans against `gold`'s. */
   private def assertOracle(e: EvalCounts, pred: DataFrame, gold: DataFrame): Unit = {
@@ -77,78 +81,62 @@ class MetricsSpec extends SparkSpec {
     import spark.implicits._
     val tweets = spark.createDataset(Seq(
       Tweet("T", 1L, 0, Seq("A", "b", "C"), Seq(GoldSpan(0, 1, 1L), GoldSpan(2, 1, 2L)), Seq.empty)))
-    val g = Metrics.goldSpans(tweets).collect().map(r => (r.getLong(0), r.getInt(2), r.getInt(3))).toSet
-    assert(g == Set((1L, 0, 1), (1L, 2, 1)))
+    assert(Metrics.goldSpans(tweets.rdd) == Set((1L, 0, 0, 1), (1L, 0, 2, 1)))
   }
 
   test("detectionSpans deduplicates detections") {
     import spark.implicits._
     val dets = spark.createDataset(Seq(
-      Detection("T", 1L, 0, 0, 1, "A"),
-      Detection("T", 1L, 0, 0, 1, "A")))
+      Detection(1L, 0, 0, 1, "A"),
+      Detection(1L, 0, 0, 1, "A")))
     assert(Metrics.detectionSpans(dets).count() == 1)
   }
 
   test("TP counting agrees with the DuckDB oracle on a real local run") {
+    import spark.implicits._
     val spec = TweetGen.DevStream
     val tweets = TweetGen.generate(spark, spec)
     val predDf = Metrics.detectionSpans(Aguilar.detectAll(tweets, spec))
-    val goldDf = Metrics.goldSpans(tweets)
-    val e = Metrics.evaluateAgainst(predDf, goldDf)
-    val tpDf = predDf.join(goldDf, Metrics.SpanCols, "inner")
-      .agg(org.apache.spark.sql.functions.count(org.apache.spark.sql.functions.lit(1)).as("tp"))
+    val goldDf = goldRows(tweets)
+    val e = Metrics.evaluate(predDf, tweets)
     Oracle.assertEquivalent(
-      tpDf,
-      "SELECT COUNT(*) AS tp FROM pred p JOIN gold g ON p.tweetId = g.tweetId " +
+      Seq(e.tp).toDF("tp"),
+      "SELECT COUNT(*) AS tp FROM pred p JOIN (SELECT DISTINCT * FROM gold) g ON p.tweetId = g.tweetId " +
         "AND p.sentId = g.sentId AND p.start = g.start AND p.len = g.len",
       "pred" -> predDf, "gold" -> goldDf)
     // And the scalar counts line up with the DataFrame sizes.
     assert(e.tp + e.fp == predDf.count())
-    assert(e.tp + e.fn == goldDf.count())
+    assert(e.tp + e.fn == goldDf.distinct().count())
   }
 
-  test("evaluateAgainst is symmetric in its inputs' duplicates") {
-    import spark.implicits._
-    val gold = Seq((1L, 0, 0, 1)).toDF("tweetId", "sentId", "start", "len")
-    val pred = Seq((1L, 0, 0, 1), (1L, 0, 3, 1)).toDF("tweetId", "sentId", "start", "len")
-    assert(Metrics.evaluateAgainst(pred, gold) == EvalCounts(1, 1, 0))
-  }
-
-  test("evaluateAll scores two predictions in one call, each as DuckDB counts it") {
+  test("score agrees with DuckDB on two predictions against one gold set") {
     val spec = TweetGen.DevStream
     val tweets = TweetGen.generate(spark, spec)
     val preds = Seq(Aguilar, NpChunker).map(s => Metrics.detectionSpans(s.detectAll(tweets, spec)))
-    val gold = Metrics.goldSpans(tweets)
-    val evals = Metrics.evaluateAll(preds, Metrics.goldRows(tweets))
-    assert(evals.size == 2 && evals(0) != evals(1))
-    preds.zip(evals).foreach { case (p, e) => assertOracle(e, p, gold) }
+    val gold = Metrics.goldSpans(tweets.rdd)
+    val evals = preds.map(p => Metrics.score(Metrics.spansOf(p), gold))
+    assert(evals(0) != evals(1))
+    preds.zip(evals).foreach { case (p, e) => assertOracle(e, p, goldRows(tweets)) }
   }
 
-  test("evaluateAll edge cases agree with DuckDB: empty inputs, spans repeated across and within inputs") {
-    import spark.implicits._
-    def spans(xs: (Long, Int, Int, Int)*): DataFrame = xs.toDF(Metrics.SpanCols: _*)
+  test("score edge cases agree with DuckDB: empty inputs, repeated spans") {
     val shared = (1L, 0, 0, 1)
-    val none = spans()
-    val gold = spans(shared, shared, (2L, 0, 1, 2))
-    val a = spans(shared, shared, (1L, 0, 3, 1))
-    val b = spans(shared, shared, shared)
+    val other = (1L, 0, 3, 1)
+    val none = Seq.empty[Metrics.Span]
+    val gold = Seq(shared, shared, (2L, 0, 1, 2))
+    val a = Seq(shared, shared, other)
+    val b = Seq(shared, shared, shared)
     val cases = Seq(
-      (Seq(a, b, none), gold) -> Seq(EvalCounts(1, 1, 1), EvalCounts(1, 0, 1), EvalCounts(0, 0, 2)),
-      (Seq(a, b), none)       -> Seq(EvalCounts(0, 2, 0), EvalCounts(0, 1, 0)),
-      (Seq(none), none)       -> Seq(EvalCounts(0, 0, 0)))
+      (Seq(a, b, none), gold)                -> Seq(EvalCounts(1, 1, 1), EvalCounts(1, 0, 1), EvalCounts(0, 0, 2)),
+      (Seq(a, b), none)                      -> Seq(EvalCounts(0, 2, 0), EvalCounts(0, 1, 0)),
+      (Seq(none), none)                      -> Seq(EvalCounts(0, 0, 0)),
+      (Seq(Seq(shared, other)), Seq(shared)) -> Seq(EvalCounts(1, 1, 0)))
     cases.foreach { case ((preds, g), expected) =>
-      val got = Metrics.evaluateAll(preds, g)
+      val got = preds.map(Metrics.score(_, g))
       assert(got == expected)
-      preds.zip(got).foreach { case (p, e) => assertOracle(e, p, g) }
+      preds.zip(got).foreach { case (p, e) =>
+        assertOracle(e, Metrics.spanFrame(spark, p), Metrics.spanFrame(spark, g))
+      }
     }
-  }
-
-  test("the evaluation query is one group-by and a total, with no join") {
-    val spec = TweetGen.DevStream
-    val tweets = TweetGen.generate(spark, spec)
-    val dets = Aguilar.detectAll(tweets, spec).toDF()
-    val plan = Metrics.counts(Seq(dets, dets), Metrics.goldRows(tweets)).queryExecution.optimizedPlan
-    assert(plan.collect { case j: Join => j }.isEmpty, plan)
-    assert(plan.collect { case a: Aggregate => a }.size == 2, plan)
   }
 }

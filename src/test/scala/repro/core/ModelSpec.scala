@@ -17,7 +17,7 @@ class ModelSpec extends AnyFunSuite {
   }
 
   test("Detection.key derives from its surface") {
-    val d = Detection("D", 7L, 0, 1, 2, "Andy Beshear")
+    val d = Detection(7L, 0, 1, 2, "Andy Beshear")
     assert(d.key == "andy beshear")
   }
 

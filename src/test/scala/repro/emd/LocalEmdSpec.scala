@@ -35,7 +35,7 @@ class LocalEmdSpec extends SparkSpec {
   }
 
   test("detection keys are lower-cased surfaces") {
-    val d = Detection("x", 0L, 0, 0, 2, "Andy BESHEAR")
+    val d = Detection(0L, 0, 0, 2, "Andy BESHEAR")
     assert(d.key == "andy beshear")
   }
 
