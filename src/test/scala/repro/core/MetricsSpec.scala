@@ -119,6 +119,14 @@ class MetricsSpec extends SparkSpec {
     preds.zip(evals).foreach { case (p, e) => assertOracle(e, p, goldRows(tweets)) }
   }
 
+  test("score is symmetric in its inputs' duplicates") {
+    val gold = Seq((1L, 0, 0, 1))
+    val pred = Seq((1L, 0, 0, 1), (1L, 0, 3, 1))
+    val e = Metrics.score(pred, gold)
+    assert(e == EvalCounts(1, 1, 0))
+    assertOracle(e, Metrics.spanFrame(spark, pred), Metrics.spanFrame(spark, gold))
+  }
+
   test("score edge cases agree with DuckDB: empty inputs, repeated spans") {
     val shared = (1L, 0, 0, 1)
     val other = (1L, 0, 3, 1)
@@ -127,10 +135,9 @@ class MetricsSpec extends SparkSpec {
     val a = Seq(shared, shared, other)
     val b = Seq(shared, shared, shared)
     val cases = Seq(
-      (Seq(a, b, none), gold)                -> Seq(EvalCounts(1, 1, 1), EvalCounts(1, 0, 1), EvalCounts(0, 0, 2)),
-      (Seq(a, b), none)                      -> Seq(EvalCounts(0, 2, 0), EvalCounts(0, 1, 0)),
-      (Seq(none), none)                      -> Seq(EvalCounts(0, 0, 0)),
-      (Seq(Seq(shared, other)), Seq(shared)) -> Seq(EvalCounts(1, 1, 0)))
+      (Seq(a, b, none), gold) -> Seq(EvalCounts(1, 1, 1), EvalCounts(1, 0, 1), EvalCounts(0, 0, 2)),
+      (Seq(a, b), none)       -> Seq(EvalCounts(0, 2, 0), EvalCounts(0, 1, 0)),
+      (Seq(none), none)       -> Seq(EvalCounts(0, 0, 0)))
     cases.foreach { case ((preds, g), expected) =>
       val got = preds.map(Metrics.score(_, g))
       assert(got == expected)
