@@ -1,7 +1,6 @@
 package repro.baseline
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.storage.StorageLevel
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.{GlobalPooling, Metrics, Tweet}
 import repro.data.TweetGen
 import repro.emd.{LocalEmd, TokenEmbedder}
@@ -60,20 +59,21 @@ object HireNer {
             seed: Long = 0x41EEL,
             spec: TweetGen.Spec = TweetGen.D5): MlpClassifier = {
     import spark.implicits._
-    val tweets = TweetGen.generate(spark, spec).persist(StorageLevel.MEMORY_AND_DISK)
+    val tweets = TweetGen.generate(spark, spec)
     val memory = spark.sparkContext.broadcast(globalMemory(tweets, system, spec))
 
     // Deterministic subsample, entity tokens kept at a higher rate so the
     // decoder sees a balanced class mix.
     val dsSeed = spec.seed
-    val examples = tweets.flatMap { t =>
-      t.tokens.indices.flatMap { p =>
-        val entity = isEntity(t, p)
-        Option.when(Rng.unif(seed, t.tweetId, p.toLong) < (if (entity) 0.35 else 0.04))(
-          (features(system, dsSeed, memory.value)(t, p), if (entity) 1.0 else 0.0))
-      }
-    }.take(sampleN).toIndexedSeq
-    tweets.unpersist()
+    val examples =
+      try tweets.flatMap { t =>
+        t.tokens.indices.flatMap { p =>
+          val entity = isEntity(t, p)
+          Option.when(Rng.unif(seed, t.tweetId, p.toLong) < (if (entity) 0.35 else 0.04))(
+            (features(system, dsSeed, memory.value)(t, p), if (entity) 1.0 else 0.0))
+        }
+      }.take(sampleN).toIndexedSeq
+      finally memory.destroy()
 
     val (trainIdx, validIdx) = examples.indices.partition(i => Rng.unif(seed, 2L, i.toLong) < 0.8)
     val mlp = new MlpClassifier(Array(2 * system.dim, 64, 32, 1), seed)
@@ -83,24 +83,26 @@ object HireNer {
   }
 
   /** Run HIRE-NER over a dataset: label each tweet's tokens in order and
-    * emit its maximal entity runs as [[Metrics.SpanCols]] rows.
+    * return its maximal entity runs as driver-side spans, decoded in one
+    * narrow job over the tweets. Both broadcasts are destroyed before it
+    * returns.
     */
   def run(spark: SparkSession,
           spec: TweetGen.Spec,
           system: LocalEmd,
-          decoder: MlpClassifier): DataFrame = {
-    import spark.implicits._
+          decoder: MlpClassifier): Seq[Metrics.Span] = {
     val tweets = TweetGen.generate(spark, spec)
     val memory = spark.sparkContext.broadcast(globalMemory(tweets, system, spec))
     val dec = spark.sparkContext.broadcast(decoder)
     val dsSeed = spec.seed
-    tweets.flatMap { t =>
+    try tweets.rdd.flatMap { t =>
       val feat = features(system, dsSeed, memory.value) _
       val flags = t.tokens.indices.map(p => dec.value.predictProba(feat(t, p)) >= 0.5)
       flags.indices.collect { case s if flags(s) && (s == 0 || !flags(s - 1)) =>
         val end = flags.indexWhere(f => !f, s)
         (t.tweetId, t.sentId, s, (if (end < 0) flags.length else end) - s)
       }
-    }.toDF(Metrics.SpanCols: _*)
+    }.collect().toSeq
+    finally { memory.destroy(); dec.destroy() }
   }
 }

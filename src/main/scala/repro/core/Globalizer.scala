@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions.col
-import org.apache.spark.storage.StorageLevel
 import repro.data.TweetGen
 import repro.emd.{LocalEmd, TokenEmbedder}
 
@@ -126,10 +125,12 @@ object Globalizer {
   }
 
   /** One full pipeline run over a dataset with a trained classifier (and,
-    * for deep systems, a trained Phrase Embedder). After the timed phases
-    * the run collects the gold spans in one narrow job and scores the local
-    * detections and the assembled output against them by set arithmetic
-    * ([[Metrics.score]]); no step shuffles.
+    * for deep systems, a trained Phrase Embedder). Like
+    * [[StreamingGlobalizer.processBatch]], it reads the generated tweets'
+    * RDD and caches nothing. After the timed phases it collects the gold
+    * spans in one narrow job and scores the local detections and the
+    * assembled output against them by set arithmetic ([[Metrics.score]]);
+    * no step shuffles.
     */
   def run(spark: SparkSession,
           spec: TweetGen.Spec,
@@ -138,10 +139,7 @@ object Globalizer {
           phraseEmbedder: Option[PhraseEmbedder],
           chargeEmbeddingCost: Boolean = true): RunOutput = {
     import spark.implicits._
-    // Data loading, not attributed to either phase.
-    val tweets = TweetGen.generate(spark, spec).persist(StorageLevel.MEMORY_AND_DISK)
-    val batch = tweets.rdd
-    batch.count()
+    val batch = TweetGen.generate(spark, spec).rdd
 
     val t0 = now()
     val localDets = localPhase(batch, system, spec, chargeEmbeddingCost)
@@ -153,7 +151,6 @@ object Globalizer {
     val gold = Metrics.goldSpans(batch)
     val localEval = Metrics.score(localDets.map(_.span), gold)
     val globalEval = Metrics.score(global.spans, gold)
-    tweets.unpersist()
 
     RunOutput(localDets.toDS(), global.mentions.toDS(), state.scored, Metrics.spanFrame(spark, global.spans),
       localEval, globalEval, Timings(secs(t0, t1), secs(t1, t2)))

@@ -52,10 +52,10 @@ object Metrics {
   def evaluate(predicted: DataFrame, tweets: Dataset[Tweet]): EvalCounts =
     score(spansOf(predicted), goldSpans(tweets.rdd))
 
-  /** Detections → span DataFrame. */
+  /** Detections → span DataFrame, one row per detection. */
   def detectionSpans(dets: Dataset[Detection]): DataFrame = {
     val spark = dets.sparkSession
     import spark.implicits._
-    dets.map(d => (d.tweetId, d.sentId, d.start, d.len)).toDF(SpanCols: _*).distinct()
+    dets.map(d => (d.tweetId, d.sentId, d.start, d.len)).toDF(SpanCols: _*)
   }
 }

@@ -1,6 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.baseline.HireNer
 import repro.core._
 import repro.data.TweetGen
@@ -37,12 +37,11 @@ object Experiments {
   /** Dataset statistics as a DataFrame (oracle-checkable) and typed rows. */
   def table1Stats(spark: SparkSession, spec: TweetGen.Spec): Table1Row = {
     import spark.implicits._
-    val tweets = TweetGen.generate(spark, spec).cache()
+    val tweets = TweetGen.generate(spark, spec)
     val gold = tweets.flatMap(t => t.gold.map(g => (t.tweetId, g.entityId))).toDF("tweetId", "entityId")
     val nTweets = tweets.count()
     val nMentions = gold.count()
     val nEntities = gold.select("entityId").distinct().count()
-    tweets.unpersist()
     Table1Row(spec.name, nTweets, nEntities, nMentions,
       if (nEntities == 0) 0.0 else nMentions.toDouble / nEntities, spec.streaming)
   }
@@ -132,9 +131,8 @@ object Experiments {
     specs.flatMap { spec =>
       val glob = Globalizer.run(spark, spec, Aguilar, trained.classifier, trained.phraseEmbedder,
         chargeEmbeddingCost = false).globalEval
-      val tweets = TweetGen.generate(spark, spec)
-      val hireSpans: DataFrame = HireNer.run(spark, spec, Aguilar, decoder)
-      val hire = Metrics.evaluate(hireSpans, tweets)
+      val hire = Metrics.score(HireNer.run(spark, spec, Aguilar, decoder),
+        Metrics.goldSpans(TweetGen.generate(spark, spec).rdd))
       Seq(
         Table4Row(spec.name, "EMD Globalizer", glob.precision, glob.recall, glob.f1),
         Table4Row(spec.name, "HIRE-NER", hire.precision, hire.recall, hire.f1))

@@ -1,6 +1,9 @@
 package repro.baseline
 
-import org.apache.spark.sql.execution.exchange.Exchange
+import org.apache.spark.BroadcastBlocks
+import org.scalatest.concurrent.Eventually.eventually
+import org.scalatest.concurrent.PatienceConfiguration.Timeout
+import org.scalatest.time.{Seconds, Span}
 import repro.{SparkSpec, TestFixtures}
 import repro.core.{EvalCounts, Globalizer, Metrics}
 import repro.data.TweetGen
@@ -15,6 +18,8 @@ class HireNerSpec extends SparkSpec {
   private val spec = TweetGen.DevStream
   private lazy val decoder: MlpClassifier =
     HireNer.train(spark, Aguilar, sampleN = 8000, spec = TweetGen.D5Mini)
+
+  private lazy val gold = Metrics.goldSpans(TweetGen.generate(spark, spec).rdd)
 
   private def tokenType(t: String): String = t.toLowerCase(Locale.ROOT)
 
@@ -51,18 +56,34 @@ class HireNerSpec extends SparkSpec {
   test("HIRE-NER is pinned: DevStream counts and decoder bits (D5Mini decoder)") {
     val x = Array.tabulate(2 * Aguilar.dim)(i => 0.01 * i)
     assert(java.lang.Double.doubleToLongBits(decoder.predictProba(x)) == 4607046348548571344L)
-    val eval = Metrics.evaluate(HireNer.run(spark, spec, Aguilar, decoder), TweetGen.generate(spark, spec))
+    val eval = Metrics.score(HireNer.run(spark, spec, Aguilar, decoder), gold)
     assert(eval == EvalCounts(397, 546, 190))
   }
 
-  test("HIRE-NER decodes each tweet where it stands: its plan has no shuffle") {
-    val plan = HireNer.run(spark, spec, Aguilar, decoder).queryExecution.executedPlan
-    assert(!planNodes(plan).exists(_.isInstanceOf[Exchange]), plan)
+  test("HIRE-NER decodes each tweet where it stands: one-stage jobs") {
+    val dec = decoder
+    val (_, stages) = stagesPerJob(HireNer.run(spark, spec, Aguilar, dec))
+    // The token memory's pooling, then the decode; one stage each means no shuffle.
+    assert(stages == Seq(1, 1), stages)
+  }
+
+  test("HIRE-NER run and train leave no broadcast and no persisted RDD behind") {
+    val sc = spark.sparkContext
+    val dec = decoder
+    val persisted = sc.getPersistentRDDs.keySet
+    val broadcasts = BroadcastBlocks.held(sc)
+    HireNer.run(spark, spec, Aguilar, dec)
+    HireNer.train(spark, Aguilar, sampleN = 500, spec = TweetGen.D5Mini)
+    assert(sc.getPersistentRDDs.keySet == persisted)
+    // A destroyed broadcast leaves the driver's block manager asynchronously.
+    eventually(Timeout(Span(10, Seconds))) {
+      val left = BroadcastBlocks.held(sc)
+      assert(left.subsetOf(broadcasts), left -- broadcasts)
+    }
   }
 
   test("HIRE-NER produces valid non-overlapping spans") {
-    val spansDf = HireNer.run(spark, spec, Aguilar, decoder)
-    val rows = spansDf.collect().map(r => (r.getLong(0), r.getInt(2), r.getInt(3)))
+    val rows = HireNer.run(spark, spec, Aguilar, decoder).map { case (tid, _, start, len) => (tid, start, len) }
     assert(rows.nonEmpty)
     val byTweet = mutable.Map.empty[Long, mutable.Set[Int]].withDefault(_ => mutable.Set.empty)
     rows.foreach { case (tid, start, len) =>
@@ -76,14 +97,12 @@ class HireNerSpec extends SparkSpec {
   }
 
   test("HIRE-NER achieves non-trivial EMD quality") {
-    val tweets = TweetGen.generate(spark, spec)
-    val eval = Metrics.evaluate(HireNer.run(spark, spec, Aguilar, decoder), tweets)
+    val eval = Metrics.score(HireNer.run(spark, spec, Aguilar, decoder), gold)
     assert(eval.f1 > 0.3, s"HIRE-NER f1=${eval.f1}")
   }
 
   test("EMD Globalizer beats HIRE-NER on the dev stream (Table IV shape)") {
-    val tweets = TweetGen.generate(spark, spec)
-    val hire = Metrics.evaluate(HireNer.run(spark, spec, Aguilar, decoder), tweets)
+    val hire = Metrics.score(HireNer.run(spark, spec, Aguilar, decoder), gold)
     val trained = TestFixtures.trained(spark, Aguilar)
     val glob = Globalizer.run(spark, spec, Aguilar, trained.classifier,
       trained.phraseEmbedder, chargeEmbeddingCost = false).globalEval

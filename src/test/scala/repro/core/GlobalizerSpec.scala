@@ -229,14 +229,14 @@ class GlobalizerSpec extends SparkSpec {
     assert(out.count() == spans.size)
   }
 
-  test("a warm run runs one-stage jobs only: at most 4 with NP Chunker, 5 with Aguilar") {
-    // Aguilar's extra job is the embedding-cost pass.
-    Seq((NpChunker, trainedChunker, 4), (Aguilar, trainedAguilar, 5)).foreach { case (system, t, maxJobs) =>
+  test("a warm run runs one-stage jobs only: exactly 3 with NP Chunker, 4 with Aguilar") {
+    // Local detection, mining with pooling and the gold collect; Aguilar's
+    // extra job is the embedding-cost pass.
+    Seq((NpChunker, trainedChunker, 3), (Aguilar, trainedAguilar, 4)).foreach { case (system, t, jobs) =>
       def run(): Globalizer.RunOutput = Globalizer.run(spark, spec, system, t.classifier, t.phraseEmbedder)
       run()
       val (_, stages) = stagesPerJob(run())
-      assert(stages.nonEmpty && stages.forall(_ == 1), s"${system.name}: $stages")
-      assert(stages.size <= maxJobs, s"${system.name}: $stages")
+      assert(stages == Seq.fill(jobs)(1), s"${system.name}: $stages")
     }
   }
 

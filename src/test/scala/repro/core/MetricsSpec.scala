@@ -84,14 +84,6 @@ class MetricsSpec extends SparkSpec {
     assert(Metrics.goldSpans(tweets.rdd) == Set((1L, 0, 0, 1), (1L, 0, 2, 1)))
   }
 
-  test("detectionSpans deduplicates detections") {
-    import spark.implicits._
-    val dets = spark.createDataset(Seq(
-      Detection(1L, 0, 0, 1, "A"),
-      Detection(1L, 0, 0, 1, "A")))
-    assert(Metrics.detectionSpans(dets).count() == 1)
-  }
-
   test("TP counting agrees with the DuckDB oracle on a real local run") {
     import spark.implicits._
     val spec = TweetGen.DevStream

@@ -60,6 +60,7 @@ class ExperimentsSpec extends SparkSpec {
     val before = sc.getPersistentRDDs.keySet
     val r = table3Row(spark, TweetGen.DevStream, trained)
     assert(r.globalF1 > r.localF1)
+    assert(table1Stats(spark, TweetGen.DevStream).nTweets == TweetGen.DevStream.nTweets)
     assert(sc.getPersistentRDDs.keySet == before)
   }
 }
