@@ -1,6 +1,7 @@
 package repro.baseline
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.SparkSession
 import repro.core.{GlobalPooling, Metrics, Tweet}
 import repro.data.TweetGen
 import repro.emd.{LocalEmd, TokenEmbedder}
@@ -19,7 +20,8 @@ import repro.util.Rng
   * a global memory = mean embedding per lower-cased token type across the
   * stream, and an MLP decoder over [local ⊕ global] per token; maximal
   * runs of entity-labelled tokens become predicted mentions. Every pass is
-  * a per-tweet map over the tweets, so a tweet is decoded where it stands.
+  * a per-tweet map over the tweets of [[TweetGen.tweets]], so a tweet is
+  * decoded where it stands and no pass plans a query.
   *
   * The paper's observed weakness — "adding non-local contextual information
   * inevitably introduces noise" — arises here structurally: token-type
@@ -39,9 +41,7 @@ object HireNer {
     t.gold.exists(g => p >= g.start && p < g.start + g.len)
 
   /** Global memory: mean local embedding per lower-cased token type. */
-  def globalMemory(tweets: Dataset[Tweet], system: LocalEmd, spec: TweetGen.Spec): Map[String, Array[Double]] = {
-    val spark = tweets.sparkSession
-    import spark.implicits._
+  def globalMemory(tweets: RDD[Tweet], system: LocalEmd, spec: TweetGen.Spec): Map[String, Array[Double]] = {
     val emb = local(system, spec.seed) _
     val occ = tweets.flatMap(t => t.tokens.indices.map(p => (tokenKey(t, p), emb(t, p))))
     GlobalPooling.pools(occ)(_._1, _._2).map { case (key, p) => key -> p.mean }.toMap
@@ -58,8 +58,7 @@ object HireNer {
             sampleN: Int = 20000,
             seed: Long = 0x41EEL,
             spec: TweetGen.Spec = TweetGen.D5): MlpClassifier = {
-    import spark.implicits._
-    val tweets = TweetGen.generate(spark, spec)
+    val tweets = TweetGen.tweets(spark.sparkContext, spec)
     val memory = spark.sparkContext.broadcast(globalMemory(tweets, system, spec))
 
     // Deterministic subsample, entity tokens kept at a higher rate so the
@@ -91,11 +90,11 @@ object HireNer {
           spec: TweetGen.Spec,
           system: LocalEmd,
           decoder: MlpClassifier): Seq[Metrics.Span] = {
-    val tweets = TweetGen.generate(spark, spec)
+    val tweets = TweetGen.tweets(spark.sparkContext, spec)
     val memory = spark.sparkContext.broadcast(globalMemory(tweets, system, spec))
     val dec = spark.sparkContext.broadcast(decoder)
     val dsSeed = spec.seed
-    try tweets.rdd.flatMap { t =>
+    try tweets.flatMap { t =>
       val feat = features(system, dsSeed, memory.value) _
       val flags = t.tokens.indices.map(p => dec.value.predictProba(feat(t, p)) >= 0.5)
       flags.indices.collect { case s if flags(s) && (s == 0 || !flags(s - 1)) =>

@@ -1,13 +1,14 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.Dataset
 
 import scala.collection.mutable
 
 /** Incremental pooling of local candidate embeddings into global candidate
   * embeddings (paper Sec. V-C): the CandidateBase keeps, per candidate, a
-  * running (count, sum) that finishes as the mean embedding. Pooling a
-  * Dataset and the streaming update of the CandidateBase are the same
+  * running (count, sum) that finishes as the mean embedding. Pooling an
+  * RDD and the streaming update of the CandidateBase are the same
   * `Pool.merge`, and both keep their pools sorted by key.
   */
 object GlobalPooling {
@@ -68,17 +69,17 @@ object GlobalPooling {
     into
   }
 
-  /** One Pool per key of `ds`, sorted by key, in one narrow job: each
+  /** One Pool per key of `rows`, sorted by key, in one narrow job: each
     * partition folds its rows with [[partitionPools]] and the driver
     * [[merged]]s the results. Neither order depends on the core count.
     */
-  def pools[T](ds: Dataset[T])(key: T => String, emb: T => Array[Double]): mutable.TreeMap[String, Pool] =
-    merged(ds.rdd.mapPartitions(rows => Iterator.single(partitionPools(rows)(key, emb))).collect())
+  def pools[T](rows: RDD[T])(key: T => String, emb: T => Array[Double]): mutable.TreeMap[String, Pool] =
+    merged(rows.mapPartitions(part => Iterator.single(partitionPools(part)(key, emb))).collect())
 
   /** Global candidate embeddings: one CandidateRecord per candidate key, by key. */
   def pool(mentions: Dataset[MentionEmb]): Dataset[CandidateRecord] = {
     val spark = mentions.sparkSession
     import spark.implicits._
-    pools(mentions)(_.key, _.emb).toSeq.map { case (key, p) => CandidateRecord(key, p.count, p.mean) }.toDS()
+    pools(mentions.rdd)(_.key, _.emb).toSeq.map { case (key, p) => CandidateRecord(key, p.count, p.mean) }.toDS()
   }
 }

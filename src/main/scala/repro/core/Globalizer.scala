@@ -6,6 +6,8 @@ import org.apache.spark.sql.functions.col
 import repro.data.TweetGen
 import repro.emd.{LocalEmd, TokenEmbedder}
 
+import scala.collection.mutable
+
 /** EMD Globalizer — the paper's end-to-end batch pipeline (Fig. 2/3):
   *
   *   Local EMD → seed candidates (CTrie) → occurrence mining with local
@@ -16,6 +18,8 @@ import repro.emd.{LocalEmd, TokenEmbedder}
   * empty CandidateBase: [[localPhase]] here, then
   * [[StreamingGlobalizer.globalPhase]] on a fresh
   * [[StreamingGlobalizer.State]], the same code every micro-batch runs.
+  * It reads the tweets from [[TweetGen.tweets]], so it plans no query, and
+  * it is two one-stage Spark jobs for every system.
   *
   * Timing attribution follows the paper's Table III: "Local EMD time" is
   * the per-sentence EMD pass (for deep systems this includes generating the
@@ -30,60 +34,78 @@ object Globalizer {
     def totalSec: Double = localSec + globalOverheadSec
   }
 
-  /** Everything a bench or test needs from one pipeline run. The span sets
-    * are local Datasets over rows held on the driver: a run leaves nothing
-    * cached.
+  /** Everything a bench or test needs from one pipeline run, held on the
+    * driver: the local detections, the mined spans, the scored candidates
+    * and the output spans. `localDets`, `mentions` and `finalSpans` are
+    * views of the same values as local Datasets, each built when it is
+    * first read; a run builds none of them.
     */
-  final case class RunOutput(localDets: Dataset[Detection],
-                             mentions: Dataset[MentionSpan],
+  final case class RunOutput(detections: Seq[Detection],
+                             mined: Seq[MentionSpan],
                              scored: Seq[(CandidateRecord, Double)],
-                             finalSpans: DataFrame,
+                             spans: Seq[Metrics.Span],
                              localEval: EvalCounts,
                              globalEval: EvalCounts,
-                             timings: Timings)
+                             timings: Timings)(spark: SparkSession) {
+    import spark.implicits._
+    lazy val localDets: Dataset[Detection] = detections.toDS()
+    lazy val mentions: Dataset[MentionSpan] = mined.toDS()
+    lazy val finalSpans: DataFrame = Metrics.spanFrame(spark, spans)
+  }
+
+  /** What the local phase returns, held on the driver: the detections and
+    * the gold spans of the tweets it read, each in partition order.
+    */
+  final case class LocalOutput(dets: Seq[Detection], gold: Seq[Metrics.Span])
 
   private def now(): Long = System.nanoTime()
   private def secs(from: Long, to: Long): Double = (to - from) / 1e9
 
-  /** Local EMD phase of an iteration, in one narrow job: every partition
-    * runs [[LocalEmd.detector]] on its tweets and the driver collects the
-    * detections, in partition order. For deep systems,
-    * `chargeEmbeddingCost` additionally materializes token embeddings for
-    * every token of the stream (what TweetBase records in the paper), in a
-    * job of its own; we reduce them to a checksum rather than storing,
-    * since the mining phase recomputes deterministically.
+  /** Local EMD phase of an iteration, in one narrow job that reads each
+    * tweet once: every partition runs [[LocalEmd.detector]] on its tweets
+    * and returns their detections and gold spans, which the driver
+    * collects in partition order. For deep systems, `chargeEmbeddingCost`
+    * additionally materializes token embeddings for every token of the
+    * stream (what TweetBase records in the paper) in the same pass; we
+    * reduce them to a checksum rather than storing, since the mining phase
+    * recomputes deterministically.
     */
   def localPhase(tweets: RDD[Tweet],
                  system: LocalEmd,
                  spec: TweetGen.Spec,
-                 chargeEmbeddingCost: Boolean): Seq[Detection] = {
-    val dets = tweets.flatMap(system.detector(spec)).collect()
-    if (system.deep && chargeEmbeddingCost) {
-      val dim = system.dim
-      val salt = system.params.salt
-      val dsSeed = spec.seed
-      // Force the full-stream embedding pass; the checksum defeats laziness,
-      // and a sum (unlike a reduce) is defined on an empty batch.
-      tweets.map { t =>
-        var s = 0.0
-        t.tokens.indices.foreach { p =>
+                 chargeEmbeddingCost: Boolean): LocalOutput = {
+    val detect = system.detector(spec)
+    val charge = system.deep && chargeEmbeddingCost
+    val dim = system.dim
+    val salt = system.params.salt
+    val dsSeed = spec.seed
+    val parts = tweets.mapPartitions { ts =>
+      val dets = mutable.ArrayBuffer.empty[Detection]
+      val gold = mutable.ArrayBuffer.empty[Metrics.Span]
+      // The checksum goes back with the partition's result, so the
+      // embedding pass cannot be skipped.
+      var checksum = 0.0
+      ts.foreach { t =>
+        dets ++= detect(t)
+        gold ++= Metrics.goldOf(t)
+        if (charge) t.tokens.indices.foreach { p =>
           val e = TokenEmbedder.tokenEmbedding(dim, salt, dsSeed, t, p)
-          s += e(0) + e(dim - 1)
+          checksum += e(0) + e(dim - 1)
         }
-        s
-      }.sum()
-    }
-    dets.toSeq
+      }
+      Iterator.single((dets.toArray, gold.toArray, checksum))
+    }.collect()
+    LocalOutput(parts.toSeq.flatMap(_._1), parts.toSeq.flatMap(_._2))
   }
 
-  /** [[localPhase]] of a Dataset's tweets, as a local Dataset. */
+  /** The detections of [[localPhase]] over a Dataset's tweets, as a local Dataset. */
   def localPhase(tweets: Dataset[Tweet],
                  system: LocalEmd,
                  spec: TweetGen.Spec,
                  chargeEmbeddingCost: Boolean): Dataset[Detection] = {
     val spark = tweets.sparkSession
     import spark.implicits._
-    localPhase(tweets.rdd, system, spec, chargeEmbeddingCost).toDS()
+    localPhase(tweets.rdd, system, spec, chargeEmbeddingCost).dets.toDS()
   }
 
   /** Seed entity candidates: distinct case-insensitive keys of the local
@@ -125,12 +147,12 @@ object Globalizer {
   }
 
   /** One full pipeline run over a dataset with a trained classifier (and,
-    * for deep systems, a trained Phrase Embedder). Like
-    * [[StreamingGlobalizer.processBatch]], it reads the generated tweets'
-    * RDD and caches nothing. After the timed phases it collects the gold
-    * spans in one narrow job and scores the local detections and the
-    * assembled output against them by set arithmetic ([[Metrics.score]]);
-    * no step shuffles.
+    * for deep systems, a trained Phrase Embedder), in two one-stage Spark
+    * jobs over [[TweetGen.tweets]]: local detection, which also returns the
+    * gold spans, then mining with pooling. It caches nothing and plans no
+    * query. After the timed phases it scores the local detections and the
+    * assembled output against the gold spans by set arithmetic
+    * ([[Metrics.score]]) on the driver.
     */
   def run(spark: SparkSession,
           spec: TweetGen.Spec,
@@ -138,21 +160,18 @@ object Globalizer {
           clf: EntityClassifier,
           phraseEmbedder: Option[PhraseEmbedder],
           chargeEmbeddingCost: Boolean = true): RunOutput = {
-    import spark.implicits._
-    val batch = TweetGen.generate(spark, spec).rdd
+    val batch = TweetGen.tweets(spark.sparkContext, spec)
 
     val t0 = now()
-    val localDets = localPhase(batch, system, spec, chargeEmbeddingCost)
+    val local = localPhase(batch, system, spec, chargeEmbeddingCost)
     val t1 = now()
     val state = new StreamingGlobalizer.State
-    val global = StreamingGlobalizer.globalPhase(batch, localDets, spec, system, clf, phraseEmbedder, state)
+    val global = StreamingGlobalizer.globalPhase(batch, local.dets, spec, system, clf, phraseEmbedder, state)
     val t2 = now()
 
-    val gold = Metrics.goldSpans(batch)
-    val localEval = Metrics.score(localDets.map(_.span), gold)
-    val globalEval = Metrics.score(global.spans, gold)
-
-    RunOutput(localDets.toDS(), global.mentions.toDS(), state.scored, Metrics.spanFrame(spark, global.spans),
-      localEval, globalEval, Timings(secs(t0, t1), secs(t1, t2)))
+    val localEval = Metrics.score(local.dets.map(_.span), local.gold)
+    val globalEval = Metrics.score(global.spans, local.gold)
+    RunOutput(local.dets, global.mentions, state.scored, global.spans,
+      localEval, globalEval, Timings(secs(t0, t1), secs(t1, t2)))(spark)
   }
 }

@@ -36,9 +36,11 @@ object Metrics {
     EvalCounts(tp, p.size - tp, g.size - tp)
   }
 
+  /** Gold mention spans of one tweet. */
+  def goldOf(t: Tweet): Seq[Span] = t.gold.map(g => (t.tweetId, t.sentId, g.start, g.len))
+
   /** Gold mention spans of the tweets, collected in one narrow job. */
-  def goldSpans(tweets: RDD[Tweet]): Set[Span] =
-    tweets.flatMap(t => t.gold.map(g => (t.tweetId, t.sentId, g.start, g.len))).collect().toSet
+  def goldSpans(tweets: RDD[Tweet]): Set[Span] = tweets.flatMap(goldOf).collect().toSet
 
   /** The spans of a DataFrame with the [[SpanCols]] columns. */
   def spansOf(df: DataFrame): Seq[Span] =

@@ -117,7 +117,8 @@ object StreamingGlobalizer {
   }
 
   /** One framework iteration over a micro-batch, in two Spark jobs over
-    * `batch.rdd` (local detection, then mining with pooling); returns the
+    * `batch.rdd` (local detection, then mining with pooling; the gold spans
+    * that local detection also returns go unread); returns the
     * batch's final entity-mention spans (tweetId, sentId, start, len) as a
     * local DataFrame, built once from the driver-side spans, whose plan
     * has no aggregate or exchange. Nothing stays cached or broadcast.
@@ -129,7 +130,7 @@ object StreamingGlobalizer {
                    phraseEmbedder: Option[PhraseEmbedder],
                    state: State): DataFrame = {
     val tweets = batch.rdd
-    val localDets = Globalizer.localPhase(tweets, system, spec, chargeEmbeddingCost = false)
+    val localDets = Globalizer.localPhase(tweets, system, spec, chargeEmbeddingCost = false).dets
     val out = globalPhase(tweets, localDets, spec, system, clf, phraseEmbedder, state)
     Metrics.spanFrame(batch.sparkSession, out.spans)
   }

@@ -48,8 +48,8 @@ object Training {
                    system: LocalEmd,
                    pe: Option[PhraseEmbedder],
                    spec: TweetGen.Spec = TweetGen.D5): Seq[(CandidateRecord, Boolean)] = {
-    val tweets = TweetGen.generate(spark, spec).rdd
-    val dets = Globalizer.localPhase(tweets, system, spec, chargeEmbeddingCost = false)
+    val tweets = TweetGen.tweets(spark.sparkContext, spec)
+    val dets = Globalizer.localPhase(tweets, system, spec, chargeEmbeddingCost = false).dets
     val state = new StreamingGlobalizer.State
     state.absorb(tweets, dets, spec, system, pe)
     val entityKeys = spec.entityKeys

@@ -1,6 +1,8 @@
 package repro.data
 
 import java.util.Locale
+import org.apache.spark.SparkContext
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.{GoldSpan, LureSpan, Tweet}
 import repro.util.Rng
@@ -24,6 +26,9 @@ import repro.util.Rng
   *
   * Every tweet is a pure function of (spec.seed, tweetId), so the Spark
   * generation and the local reference generation are bitwise identical.
+  * [[tweets]] is the one distributed generator: an RDD sliced exactly as
+  * `spark.range(0, nTweets)` slices its ids, which the pipeline reads
+  * without planning a query; [[generate]] is the same RDD as a Dataset.
   */
 object TweetGen {
 
@@ -169,10 +174,18 @@ object TweetGen {
     Tweet(spec.name, tweetId, 0, styled, gold.toSeq, lures.toSeq)
   }
 
-  /** Generate the dataset as a distributed Dataset[Tweet]. */
+  /** Generate the dataset as an RDD in `sc.defaultParallelism` slices,
+    * holding in each slice the ids `spark.range(0, nTweets)` holds in the
+    * same partition. A pool's bits depend on where partitions split it, so
+    * every reader of a dataset sees the same boundaries.
+    */
+  def tweets(sc: SparkContext, spec: Spec): RDD[Tweet] =
+    sc.range(0, spec.nTweets.toLong, 1, sc.defaultParallelism).map(makeTweet(spec, _))
+
+  /** [[tweets]] as a Dataset, for relational callers. */
   def generate(spark: SparkSession, spec: Spec): Dataset[Tweet] = {
     import spark.implicits._
-    spark.range(0, spec.nTweets.toLong).as[Long].map(id => makeTweet(spec, id))
+    spark.createDataset(tweets(spark.sparkContext, spec))
   }
 
   /** Single-node reference generation (tests compare it with `generate`). */

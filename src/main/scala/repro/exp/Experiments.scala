@@ -132,7 +132,7 @@ object Experiments {
       val glob = Globalizer.run(spark, spec, Aguilar, trained.classifier, trained.phraseEmbedder,
         chargeEmbeddingCost = false).globalEval
       val hire = Metrics.score(HireNer.run(spark, spec, Aguilar, decoder),
-        Metrics.goldSpans(TweetGen.generate(spark, spec).rdd))
+        Metrics.goldSpans(TweetGen.tweets(spark.sparkContext, spec)))
       Seq(
         Table4Row(spec.name, "EMD Globalizer", glob.precision, glob.recall, glob.f1),
         Table4Row(spec.name, "HIRE-NER", hire.precision, hire.recall, hire.f1))

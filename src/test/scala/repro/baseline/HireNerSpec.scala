@@ -19,7 +19,7 @@ class HireNerSpec extends SparkSpec {
   private lazy val decoder: MlpClassifier =
     HireNer.train(spark, Aguilar, sampleN = 8000, spec = TweetGen.D5Mini)
 
-  private lazy val gold = Metrics.goldSpans(TweetGen.generate(spark, spec).rdd)
+  private lazy val gold = Metrics.goldSpans(TweetGen.tweets(spark.sparkContext, spec))
 
   private def tokenType(t: String): String = t.toLowerCase(Locale.ROOT)
 
@@ -33,14 +33,14 @@ class HireNerSpec extends SparkSpec {
   }
 
   test("globalMemory pools one vector per lower-cased token type") {
-    val mem = HireNer.globalMemory(TweetGen.generate(spark, spec), Aguilar, spec)
+    val mem = HireNer.globalMemory(TweetGen.tweets(spark.sparkContext, spec), Aguilar, spec)
     val types = TweetGen.generateLocal(spec).flatMap(_.tokens.map(tokenType)).toSet
     assert(mem.keySet == types)
     assert(mem.values.forall(_.length == Aguilar.dim))
   }
 
   test("globalMemory mean equals the hand-computed mean for one token type") {
-    val mem = HireNer.globalMemory(TweetGen.generate(spark, spec), Aguilar, spec)
+    val mem = HireNer.globalMemory(TweetGen.tweets(spark.sparkContext, spec), Aguilar, spec)
     val tweets = TweetGen.generateLocal(spec)
     // The most frequent type: its mean counts every one of many occurrences.
     val someType = tweets.flatMap(_.tokens.map(tokenType)).groupBy(identity).maxBy(_._2.size)._1

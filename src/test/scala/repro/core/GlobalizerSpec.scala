@@ -229,15 +229,24 @@ class GlobalizerSpec extends SparkSpec {
     assert(out.count() == spans.size)
   }
 
-  test("a warm run runs one-stage jobs only: exactly 3 with NP Chunker, 4 with Aguilar") {
-    // Local detection, mining with pooling and the gold collect; Aguilar's
-    // extra job is the embedding-cost pass.
-    Seq((NpChunker, trainedChunker, 3), (Aguilar, trainedAguilar, 4)).foreach { case (system, t, jobs) =>
+  test("a warm run runs one-stage jobs only: exactly 2 with NP Chunker, 2 with Aguilar") {
+    // Local detection, which also returns the gold spans and, for Aguilar
+    // charged with the embedding cost, the embedding checksum; then mining
+    // with pooling.
+    Seq(NpChunker -> trainedChunker, Aguilar -> trainedAguilar).foreach { case (system, t) =>
       def run(): Globalizer.RunOutput = Globalizer.run(spark, spec, system, t.classifier, t.phraseEmbedder)
       run()
       val (_, stages) = stagesPerJob(run())
-      assert(stages == Seq.fill(jobs)(1), s"${system.name}: $stages")
+      assert(stages == Seq(1, 1), s"${system.name}: $stages")
     }
+  }
+
+  test("a run's Dataset views hold exactly its driver-side spans, detections and mined spans") {
+    val out = runChunker
+    assert(out.localDets.collect().toSeq == out.detections)
+    assert(out.mentions.collect().toSeq == out.mined)
+    assert(Metrics.spansOf(out.finalSpans) == out.spans)
+    assert(out.detections.nonEmpty && out.mined.nonEmpty && out.spans.nonEmpty)
   }
 
   test("repeated detections of a sentence are emitted once, and the output stays distinct") {

@@ -170,7 +170,7 @@ class StreamingGlobalizerSpec extends SparkSpec {
       val pe = TestFixtures.trained(spark, system).phraseEmbedder
       val byK = Seq(1, 3, 8).map { k =>
         val tweets = spark.range(0, sp.nTweets, 1, k).as[Long].map(id => TweetGen.makeTweet(sp, id)).rdd
-        val dets = Globalizer.localPhase(tweets, system, sp, chargeEmbeddingCost = false)
+        val dets = Globalizer.localPhase(tweets, system, sp, chargeEmbeddingCost = false).dets
         val state = new StreamingGlobalizer.State
         state.absorb(tweets, dets, sp, system, pe)
         state.records

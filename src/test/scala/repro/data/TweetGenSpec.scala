@@ -1,5 +1,6 @@
 package repro.data
 
+import org.apache.spark.rdd.RDD
 import repro.core.Tweet
 import repro.{Oracle, SparkSpec}
 
@@ -17,6 +18,18 @@ class TweetGenSpec extends SparkSpec {
     assert(dist.length == local.length)
     dist.zip(local).foreach { case (a, b) =>
       assert(a == b, s"tweet ${a.tweetId} differs")
+    }
+  }
+
+  test("tweets holds the ids spark.range holds in each partition, and generate equals it") {
+    import spark.implicits._
+    def parts[T](rdd: RDD[T]): Seq[Seq[T]] = rdd.glom().collect().map(_.toSeq).toSeq
+    // DevStream, and 841 = 29², which no core count below 29 divides.
+    Seq(TweetGen.DevStream, TweetGen.DevStream.copy(nTweets = 841)).foreach { spec =>
+      val tweets = TweetGen.tweets(spark.sparkContext, spec)
+      assert(parts(tweets.map(_.tweetId)) == parts(spark.range(0, spec.nTweets.toLong).as[Long].rdd), spec.nTweets)
+      assert(parts(TweetGen.generate(spark, spec).rdd) == parts(tweets), spec.nTweets)
+      assert(TweetGen.generate(spark, spec).collect().toSeq == TweetGen.generateLocal(spec), spec.nTweets)
     }
   }
 
