@@ -21,7 +21,7 @@ object RunStreaming {
       val trained = Experiments.TrainedCache.get(spark, BerTweet)
       val (out, state) = StreamingGlobalizer.runBatched(
         spark, spec, BerTweet, trained.classifier, trained.phraseEmbedder, nBatches)
-      val eval = Metrics.evaluate(out, TweetGen.generate(spark, spec))
+      val eval = Metrics.score(Metrics.spansOf(out), Metrics.goldSpans(TweetGen.tweets(spark.sparkContext, spec)))
       println(s"[streaming] ${spec.name} over $nBatches micro-batches: " +
         f"P=${eval.precision}%.3f R=${eval.recall}%.3f F1=${eval.f1}%.3f " +
         s"candidates=${state.keys.size}")

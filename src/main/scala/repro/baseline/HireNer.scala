@@ -2,7 +2,7 @@ package repro.baseline
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
-import repro.core.{GlobalPooling, Metrics, Tweet}
+import repro.core.{Detection, GlobalPooling, Metrics, Tweet}
 import repro.data.TweetGen
 import repro.emd.{LocalEmd, TokenEmbedder}
 import repro.nn.MlpClassifier
@@ -31,7 +31,7 @@ import repro.util.Rng
   */
 object HireNer {
 
-  private def tokenKey(t: Tweet, p: Int): String = t.tokens(p).toLowerCase(java.util.Locale.ROOT)
+  private def tokenKey(t: Tweet, p: Int): String = Detection.keyOf(t.tokens(p))
 
   private def local(system: LocalEmd, datasetSeed: Long)(t: Tweet, p: Int): Array[Double] =
     TokenEmbedder.tokenEmbedding(system.dim, system.params.salt, datasetSeed, t, p)

@@ -30,8 +30,6 @@ final class CTrie extends Serializable {
   /** Number of distinct candidates in the forest. */
   def size: Int = nCandidates
 
-  private def normalize(token: String): String = token.toLowerCase(java.util.Locale.ROOT)
-
   /** Insert a candidate given its token sequence. Case-insensitive; empty
     * sequences are ignored. Returns true if the candidate was new.
     */
@@ -39,7 +37,7 @@ final class CTrie extends Serializable {
     if (tokens.isEmpty) return false
     var node = root
     tokens.foreach { t =>
-      node = node.children.getOrElseUpdate(normalize(t), new Node)
+      node = node.children.getOrElseUpdate(Detection.keyOf(t), new Node)
     }
     if (node.terminal) false
     else {
@@ -56,7 +54,7 @@ final class CTrie extends Serializable {
   def contains(tokens: Seq[String]): Boolean = {
     var node = root
     tokens.foreach { t =>
-      node.children.get(normalize(t)) match {
+      node.children.get(Detection.keyOf(t)) match {
         case Some(n) => node = n
         case None    => return false
       }
@@ -93,7 +91,7 @@ final class CTrie extends Serializable {
       var lastMatchEnd = -1
       var continue = true
       while (continue && j < n) {
-        node.children.get(normalize(tokens(j))) match {
+        node.children.get(Detection.keyOf(tokens(j))) match {
           case Some(next) =>
             node = next
             if (node.terminal) lastMatchEnd = j

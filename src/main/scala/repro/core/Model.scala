@@ -16,8 +16,7 @@ case class GoldSpan(start: Int, len: Int, entityId: Long)
 case class LureSpan(start: Int, len: Int, lureId: Long)
 
 /** One tweet-sentence of a dataset stream. */
-case class Tweet(dataset: String,
-                 tweetId: Long,
+case class Tweet(tweetId: Long,
                  sentId: Int,
                  tokens: Seq[String],
                  gold: Seq[GoldSpan],
@@ -33,6 +32,9 @@ case class Detection(tweetId: Long, sentId: Int, start: Int, len: Int, surface: 
 }
 
 object Detection {
+  /** The one case-folding rule, for candidate keys, CTrie tokens, vocabulary
+    * keys and HIRE-NER token types alike: no key depends on the JVM locale.
+    */
   def keyOf(surface: String): String = surface.toLowerCase(java.util.Locale.ROOT)
 }
 

@@ -22,10 +22,10 @@ import scala.collection.mutable
   * copy of that chain. It runs on the batch's RDD in two narrow jobs, local
   * detection and mining with pooling, whose per-partition results the
   * driver collects and merges; no step plans a query or caches anything.
-  * [[processBatch]] runs it for the driver-side loop [[runBatched]] and for
-  * the Structured Streaming `foreachBatch` sink of [[runStream]]; the batch
-  * pipeline [[Globalizer.run]] is one iteration over the whole dataset on a
-  * fresh `State`.
+  * [[processBatch]] runs it on an RDD for the driver-side loop
+  * [[runBatched]] and for the `foreachBatch` sink of [[runStream]], the
+  * program's one Dataset boundary; the batch pipeline [[Globalizer.run]]
+  * is one iteration over the whole dataset on a fresh `State`.
   */
 object StreamingGlobalizer {
 
@@ -116,30 +116,24 @@ object StreamingGlobalizer {
     GlobalOutput(mentions, Globalizer.assembleOutput(mentions, localDets, state.band))
   }
 
-  /** One framework iteration over a micro-batch, in two Spark jobs over
-    * `batch.rdd` (local detection, then mining with pooling; the gold spans
-    * that local detection also returns go unread); returns the
-    * batch's final entity-mention spans (tweetId, sentId, start, len) as a
-    * local DataFrame, built once from the driver-side spans, whose plan
-    * has no aggregate or exchange. Nothing stays cached or broadcast.
+  /** One framework iteration over a micro-batch, in two Spark jobs (local
+    * detection, then mining with pooling); returns the batch's final spans,
+    * held on the driver. Nothing stays cached or broadcast.
     */
-  def processBatch(batch: Dataset[Tweet],
+  def processBatch(batch: RDD[Tweet],
                    spec: TweetGen.Spec,
                    system: LocalEmd,
                    clf: EntityClassifier,
                    phraseEmbedder: Option[PhraseEmbedder],
-                   state: State): DataFrame = {
-    val tweets = batch.rdd
-    val localDets = Globalizer.localPhase(tweets, system, spec, chargeEmbeddingCost = false).dets
-    val out = globalPhase(tweets, localDets, spec, system, clf, phraseEmbedder, state)
-    Metrics.spanFrame(batch.sparkSession, out.spans)
+                   state: State): Seq[Metrics.Span] = {
+    val localDets = Globalizer.localPhase(batch, system, spec, chargeEmbeddingCost = false).dets
+    globalPhase(batch, localDets, spec, system, clf, phraseEmbedder, state).spans
   }
 
   /** Drive a whole dataset through the framework in `nBatches` sequential
-    * micro-batches (driver loop; used by tests and the streaming bench).
-    * Returns the union of per-batch outputs and the final state. The
-    * micro-batches hold disjoint tweets, so the union is as distinct as
-    * each batch's output.
+    * micro-batches of consecutive ids (driver loop; used by tests and the
+    * streaming job). Returns the batches' spans in batch order, as one
+    * local DataFrame, and the final state.
     */
   def runBatched(spark: SparkSession,
                  spec: TweetGen.Spec,
@@ -147,21 +141,19 @@ object StreamingGlobalizer {
                  clf: EntityClassifier,
                  phraseEmbedder: Option[PhraseEmbedder],
                  nBatches: Int): (DataFrame, State) = {
-    import spark.implicits._
     val state = new State
-    val per = math.ceil(spec.nTweets.toDouble / nBatches).toInt
-    val outs = (0 until nBatches).map { b =>
-      val lo = b.toLong * per
-      val hi = math.min(spec.nTweets.toLong, lo + per)
-      val batch = spark.range(lo, hi).as[Long].map(id => TweetGen.makeTweet(spec, id))
+    val n = spec.nTweets.toLong
+    val per = math.ceil(n.toDouble / nBatches).toLong
+    val spans = (0 until nBatches).flatMap { b =>
+      val batch = TweetGen.tweets(spark.sparkContext, spec, math.min(n, b * per), math.min(n, (b + 1) * per))
       processBatch(batch, spec, system, clf, phraseEmbedder, state)
     }
-    (outs.reduce(_ union _), state)
+    (Metrics.spanFrame(spark, spans), state)
   }
 
   /** Structured Streaming execution: consume a stream of tweets (any
     * source), run one framework iteration per micro-batch via foreachBatch,
-    * append outputs to `collector`.
+    * append each batch's spans to `collector` as a local DataFrame.
     */
   def runStream(tweetStream: Dataset[Tweet],
                 spec: TweetGen.Spec,
@@ -173,7 +165,8 @@ object StreamingGlobalizer {
     tweetStream.writeStream
       .outputMode("append")
       .foreachBatch { (batch: Dataset[Tweet], batchId: Long) =>
-        collector(batchId, processBatch(batch, spec, system, clf, phraseEmbedder, state))
+        val spans = processBatch(batch.rdd, spec, system, clf, phraseEmbedder, state)
+        collector(batchId, Metrics.spanFrame(batch.sparkSession, spans))
       }
       .start()
   }

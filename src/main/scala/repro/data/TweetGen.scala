@@ -26,9 +26,9 @@ import repro.util.Rng
   *
   * Every tweet is a pure function of (spec.seed, tweetId), so the Spark
   * generation and the local reference generation are bitwise identical.
-  * [[tweets]] is the one distributed generator: an RDD sliced exactly as
-  * `spark.range(0, nTweets)` slices its ids, which the pipeline reads
-  * without planning a query; [[generate]] is the same RDD as a Dataset.
+  * [[tweets]] is the one distributed generator of any id range: an RDD
+  * sliced exactly as `spark.range` slices the same ids, read without
+  * planning a query; [[generate]] is the whole dataset as a Dataset.
   */
 object TweetGen {
 
@@ -171,16 +171,19 @@ object TweetGen {
       case _              => tokens.toSeq
     }
 
-    Tweet(spec.name, tweetId, 0, styled, gold.toSeq, lures.toSeq)
+    Tweet(tweetId, 0, styled, gold.toSeq, lures.toSeq)
   }
 
-  /** Generate the dataset as an RDD in `sc.defaultParallelism` slices,
-    * holding in each slice the ids `spark.range(0, nTweets)` holds in the
-    * same partition. A pool's bits depend on where partitions split it, so
-    * every reader of a dataset sees the same boundaries.
+  /** The whole dataset as an RDD. */
+  def tweets(sc: SparkContext, spec: Spec): RDD[Tweet] = tweets(sc, spec, 0L, spec.nTweets.toLong)
+
+  /** The tweets with ids in [`from`, `until`) as an RDD in
+    * `sc.defaultParallelism` slices, holding in each slice the ids
+    * `spark.range(from, until)` holds in the same partition. A pool's bits
+    * depend on where partitions split it, so this one method decides them.
     */
-  def tweets(sc: SparkContext, spec: Spec): RDD[Tweet] =
-    sc.range(0, spec.nTweets.toLong, 1, sc.defaultParallelism).map(makeTweet(spec, _))
+  def tweets(sc: SparkContext, spec: Spec, from: Long, until: Long): RDD[Tweet] =
+    sc.range(from, until, 1, sc.defaultParallelism).map(makeTweet(spec, _))
 
   /** [[tweets]] as a Dataset, for relational callers. */
   def generate(spark: SparkSession, spec: Spec): Dataset[Tweet] = {

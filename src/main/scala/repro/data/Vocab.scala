@@ -1,6 +1,7 @@
 package repro.data
 
 import java.util.Locale
+import repro.core.Detection
 import repro.util.Rng
 
 /** Synthetic vocabulary for tweet generation.
@@ -92,5 +93,5 @@ object Vocab {
   }
 
   /** Lower-cased candidate key of a token sequence. */
-  def keyOf(tokens: Seq[String]): String = tokens.map(_.toLowerCase(Locale.ROOT)).mkString(" ")
+  def keyOf(tokens: Seq[String]): String = Detection.keyOf(tokens.mkString(" "))
 }

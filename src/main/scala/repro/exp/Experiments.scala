@@ -34,15 +34,17 @@ object Experiments {
   final case class Table1Row(dataset: String, nTweets: Long, nEntities: Long,
                              nMentions: Long, mentionsPerEntity: Double, streaming: Boolean)
 
-  /** Dataset statistics as a DataFrame (oracle-checkable) and typed rows. */
+  /** Dataset statistics in one narrow job: each partition returns its tweet
+    * count, mention count and entity-id set, and the driver merges them.
+    */
   def table1Stats(spark: SparkSession, spec: TweetGen.Spec): Table1Row = {
-    import spark.implicits._
-    val tweets = TweetGen.generate(spark, spec)
-    val gold = tweets.flatMap(t => t.gold.map(g => (t.tweetId, g.entityId))).toDF("tweetId", "entityId")
-    val nTweets = tweets.count()
-    val nMentions = gold.count()
-    val nEntities = gold.select("entityId").distinct().count()
-    Table1Row(spec.name, nTweets, nEntities, nMentions,
+    val parts = TweetGen.tweets(spark.sparkContext, spec).mapPartitions { ts =>
+      val gold = ts.map(_.gold).toVector
+      Iterator.single((gold.size.toLong, gold.map(_.size.toLong).sum, gold.flatMap(_.map(_.entityId)).toSet))
+    }.collect()
+    val nMentions = parts.map(_._2).sum
+    val nEntities = parts.flatMap(_._3).toSet.size.toLong
+    Table1Row(spec.name, parts.map(_._1).sum, nEntities, nMentions,
       if (nEntities == 0) 0.0 else nMentions.toDouble / nEntities, spec.streaming)
   }
 

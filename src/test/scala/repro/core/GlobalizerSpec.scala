@@ -66,26 +66,24 @@ class GlobalizerSpec extends SparkSpec {
   }
 
   test("seed keys are exactly the distinct local detection keys") {
-    import spark.implicits._
-    val keys = Globalizer.seedKeys(runAguilar.localDets)
-    val expected = runAguilar.localDets.map(_.key).distinct().collect().sorted.toSeq
+    val keys = Globalizer.seedKeys(runAguilar.detections)
+    val expected = runAguilar.detections.map(_.key).distinct.sorted
     assert(keys == expected)
   }
 
   test("every candidate record's key comes from a seed candidate's scan") {
-    val seedTrie = CTrie.fromKeys(Globalizer.seedKeys(runAguilar.localDets))
+    val seedTrie = CTrie.fromKeys(Globalizer.seedKeys(runAguilar.detections))
     runAguilar.scored.foreach { case (rec, _) =>
       assert(seedTrie.containsString(rec.key), s"unseeded candidate ${rec.key}")
     }
   }
 
   test("ablation ordering (Fig. 6): local ≤ local+mention-extraction ≤ full framework on recall") {
-    val tweets = TweetGen.generate(spark, spec)
     val localR = runAguilar.localEval.recall
     // Mention extraction alone: treat every candidate as an entity (α).
     val allAlpha = runAguilar.scored.map { case (r, _) => r.key -> EntityClassifier.Alpha }.toMap
-    val extractionOnly = Metrics.score(Globalizer.assembleOutput(runAguilar.mentions.collect().toSeq,
-      runAguilar.localDets.collect().toSeq, allAlpha.get(_)), Metrics.goldSpans(tweets.rdd))
+    val extractionOnly = Metrics.score(Globalizer.assembleOutput(runAguilar.mined,
+      runAguilar.detections, allAlpha.get(_)), Metrics.goldSpans(TweetGen.tweets(spark.sparkContext, spec)))
     val extractionR = extractionOnly.recall
     val fullR = runAguilar.globalEval.recall
     assert(extractionR >= localR, s"extraction=$extractionR local=$localR")
@@ -100,12 +98,9 @@ class GlobalizerSpec extends SparkSpec {
       case (r, s) if EntityClassifier.bandOf(s) == EntityClassifier.Beta => r.key
     }.toSet
     assert(betaKeys.nonEmpty, "expected some β candidates")
-    val outSpans = runAguilar.finalSpans.collect()
-      .map(r => (r.getLong(0), r.getInt(2), r.getInt(3))).toSet
-    val betaSpans = runAguilar.mentions.filter(m => betaKeys.contains(m.key)).collect()
-    betaSpans.foreach { m =>
-      assert(!outSpans.contains((m.tweetId, m.start, m.len)),
-        s"β candidate ${m.key} leaked span into output")
+    val outSpans = runAguilar.spans.toSet
+    runAguilar.mined.filter(m => betaKeys.contains(m.key)).foreach { m =>
+      assert(!outSpans.contains(m.span), s"β candidate ${m.key} leaked span into output")
     }
   }
 
@@ -114,10 +109,9 @@ class GlobalizerSpec extends SparkSpec {
       case (r, s) if EntityClassifier.bandOf(s) == EntityClassifier.Alpha => r.key
     }.toSet
     assert(alphaKeys.nonEmpty)
-    val outSpans = runAguilar.finalSpans.collect()
-      .map(r => (r.getLong(0), r.getInt(2), r.getInt(3))).toSet
-    runAguilar.mentions.filter(m => alphaKeys.contains(m.key)).collect().foreach { m =>
-      assert(outSpans.contains((m.tweetId, m.start, m.len)))
+    val outSpans = runAguilar.spans.toSet
+    runAguilar.mined.filter(m => alphaKeys.contains(m.key)).foreach { m =>
+      assert(outSpans.contains(m.span))
     }
   }
 
@@ -126,21 +120,17 @@ class GlobalizerSpec extends SparkSpec {
       case (r, s) if EntityClassifier.bandOf(s) == EntityClassifier.Gamma => r.key
     }.toSet
     if (gammaKeys.nonEmpty) {
-      val outSpans = runAguilar.finalSpans.collect()
-        .map(r => (r.getLong(0), r.getInt(2), r.getInt(3))).toSet
-      val localSpans = runAguilar.localDets.collect()
-        .map(d => (d.tweetId, d.start, d.len)).toSet
+      val outSpans = runAguilar.spans.toSet
+      val localSpans = runAguilar.detections.map(_.span).toSet
       val alphaKeys = runAguilar.scored.collect {
         case (r, s) if EntityClassifier.bandOf(s) == EntityClassifier.Alpha => r.key
       }.toSet
       // A γ mention in the output must be either a local detection or covered
       // by an α mention at the same span.
-      val alphaSpans = runAguilar.mentions.filter(m => alphaKeys.contains(m.key))
-        .collect().map(m => (m.tweetId, m.start, m.len)).toSet
-      runAguilar.mentions.filter(m => gammaKeys.contains(m.key)).collect().foreach { m =>
-        val span = (m.tweetId, m.start, m.len)
-        if (outSpans.contains(span))
-          assert(localSpans.contains(span) || alphaSpans.contains(span),
+      val alphaSpans = runAguilar.mined.filter(m => alphaKeys.contains(m.key)).map(_.span).toSet
+      runAguilar.mined.filter(m => gammaKeys.contains(m.key)).foreach { m =>
+        if (outSpans.contains(m.span))
+          assert(localSpans.contains(m.span) || alphaSpans.contains(m.span),
             s"γ candidate ${m.key} emitted a non-local span")
       }
     }
@@ -185,7 +175,7 @@ class GlobalizerSpec extends SparkSpec {
       val out = Globalizer.run(spark, spec, system, t.classifier, t.phraseEmbedder,
         chargeEmbeddingCost = false)
       assert((out.localEval, out.globalEval) == ((local, global)), system.name)
-      assert(out.finalSpans.count() == out.finalSpans.distinct().count(), system.name)
+      assert(out.spans.size == out.spans.distinct.size, system.name)
     }
   }
 
@@ -214,15 +204,13 @@ class GlobalizerSpec extends SparkSpec {
 
   test("output assembly is narrow: no aggregation and no shuffle") {
     val bands = runChunker.scored.map { case (r, s) => r.key -> EntityClassifier.bandOf(s) }.toMap
-    val mentions = runChunker.mentions.collect().toSeq
-    val dets = runChunker.localDets.collect().toSeq
-    val (spans, jobs) = stagesPerJob(Globalizer.assembleOutput(mentions, dets, bands.get(_)))
+    val (spans, jobs) = stagesPerJob(Globalizer.assembleOutput(runChunker.mined, runChunker.detections, bands.get(_)))
     // Assembly runs on the driver: it starts no Spark job.
     assert(jobs.isEmpty, jobs)
-    assert(spans.toSet == Metrics.spansOf(runChunker.finalSpans).toSet)
-    // A micro-batch's DataFrame is built from such spans, with no aggregate or exchange.
-    val out = StreamingGlobalizer.processBatch(TweetGen.generate(spark, spec), spec, NpChunker,
-      trainedChunker.classifier, None, new StreamingGlobalizer.State)
+    assert(spans.toSet == runChunker.spans.toSet)
+    // The stream sink's DataFrame is built from such spans, with no aggregate or exchange.
+    val out = Metrics.spanFrame(spark, StreamingGlobalizer.processBatch(TweetGen.tweets(spark.sparkContext, spec),
+      spec, NpChunker, trainedChunker.classifier, None, new StreamingGlobalizer.State))
     val qe = out.queryExecution
     assert(qe.optimizedPlan.collect { case a: Aggregate => a }.isEmpty, qe.optimizedPlan)
     assert(!planNodes(qe.executedPlan).exists(_.isInstanceOf[Exchange]), qe.executedPlan)
@@ -249,14 +237,23 @@ class GlobalizerSpec extends SparkSpec {
     assert(out.detections.nonEmpty && out.mined.nonEmpty && out.spans.nonEmpty)
   }
 
+  test("the Dataset assembleOutput yields exactly a run's driver-side spans") {
+    val out = runChunker
+    val trie = spark.sparkContext.broadcast(CTrie.fromKeys(Globalizer.seedKeys(out.detections)))
+    val mined = MentionExtractor.mine(TweetGen.generate(spark, spec), trie, NpChunker, spec.seed, None)
+    val bands = out.scored.map { case (r, s) => r.key -> EntityClassifier.bandOf(s) }.toMap
+    assert(Metrics.spansOf(Globalizer.assembleOutput(mined, out.localDets, bands)) == out.spans)
+    trie.destroy()
+  }
+
   test("repeated detections of a sentence are emitted once, and the output stays distinct") {
-    val tweets = TweetGen.generate(spark, spec)
-    val dets = DoubledChunker.detectAll(tweets, spec)
-    assert(dets.count() == dets.distinct().count())
-    assert(dets.collect().toSet == NpChunker.detectAll(tweets, spec).collect().toSet)
+    val tweets = TweetGen.generateLocal(spec)
+    val dets = tweets.flatMap(DoubledChunker.detector(spec))
+    assert(dets.size == dets.distinct.size)
+    assert(dets.toSet == tweets.flatMap(NpChunker.detector(spec)).toSet)
     val out = Globalizer.run(spark, spec, DoubledChunker, trainedChunker.classifier, None,
       chargeEmbeddingCost = false)
-    assert(out.finalSpans.count() == out.finalSpans.distinct().count())
+    assert(out.spans.size == out.spans.distinct.size)
     assert((out.localEval, out.globalEval) == ((runChunker.localEval, runChunker.globalEval)))
   }
 

@@ -50,7 +50,7 @@ class MentionExtractorSpec extends SparkSpec {
 
   test("partial extraction is corrected when the full candidate is registered") {
     val trie = CTrie.fromKeys(Seq("andy beshear", "andy"))
-    val t = Tweet("T", 1L, 0, Seq("gov", "Andy", "Beshear", "said"),
+    val t = Tweet(1L, 0, Seq("gov", "Andy", "Beshear", "said"),
       Seq(GoldSpan(1, 2, 1L)), Seq.empty)
     val ms = MentionExtractor.mentionsOf(t, trie, NpChunker, 11L, None)
     assert(ms.map(m => (m.start, m.len)) == Seq((1, 2)))
@@ -59,7 +59,7 @@ class MentionExtractorSpec extends SparkSpec {
 
   test("mention key is the lower-cased surface, surface keeps original case") {
     val trie = CTrie.fromKeys(Seq("coronavirus"))
-    val t = Tweet("T", 2L, 0, Seq("CORONAVIRUS", "cases"), Seq.empty, Seq.empty)
+    val t = Tweet(2L, 0, Seq("CORONAVIRUS", "cases"), Seq.empty, Seq.empty)
     val m = MentionExtractor.mentionsOf(t, trie, NpChunker, 11L, None).head
     assert(t.surface(m.start, m.len) == "CORONAVIRUS")
     assert(m.key == "coronavirus")
@@ -67,7 +67,7 @@ class MentionExtractorSpec extends SparkSpec {
 
   test("non-deep systems get 6-dim syntactic embeddings") {
     val trie = CTrie.fromKeys(Seq("coronavirus"))
-    val t = Tweet("T", 3L, 0, Seq("the", "Coronavirus", "x"), Seq.empty, Seq.empty)
+    val t = Tweet(3L, 0, Seq("the", "Coronavirus", "x"), Seq.empty, Seq.empty)
     Seq(NpChunker, TwitterNlp).foreach { sys =>
       val m = MentionExtractor.mentionsOf(t, trie, sys, 11L, None).head
       assert(m.emb.length == SyntacticEmbedding.Dim)
@@ -77,7 +77,7 @@ class MentionExtractorSpec extends SparkSpec {
 
   test("deep systems get phrase-embedded vectors of the head's output size") {
     val trie = CTrie.fromKeys(Seq("coronavirus"))
-    val t = Tweet("T", 4L, 0, Seq("the", "Coronavirus", "x"),
+    val t = Tweet(4L, 0, Seq("the", "Coronavirus", "x"),
       Seq(GoldSpan(1, 1, 1L)), Seq.empty)
     val pe = new PhraseEmbedder(Aguilar.dim, Aguilar.dim, 2L)
     val m = MentionExtractor.mentionsOf(t, trie, Aguilar, 11L, Some(pe)).head
@@ -86,7 +86,7 @@ class MentionExtractorSpec extends SparkSpec {
 
   test("deep phrase embedding equals dense(mean of token embeddings)") {
     val trie = CTrie.fromKeys(Seq("andy beshear"))
-    val t = Tweet("T", 5L, 0, Seq("Andy", "Beshear", "x"), Seq(GoldSpan(0, 2, 1L)), Seq.empty)
+    val t = Tweet(5L, 0, Seq("Andy", "Beshear", "x"), Seq(GoldSpan(0, 2, 1L)), Seq.empty)
     val pe = new PhraseEmbedder(Aguilar.dim, Aguilar.dim, 3L)
     val m = MentionExtractor.mentionsOf(t, trie, Aguilar, 11L, Some(pe)).head
     val expected = pe.embed(repro.emd.TokenEmbedder.phraseMean(Aguilar.dim, Aguilar.params.salt, 11L, t, 0, 2))
@@ -115,13 +115,13 @@ class MentionExtractorSpec extends SparkSpec {
   }
 
   test("an empty trie mines no mentions") {
-    val t = Tweet("T", 6L, 0, Seq("a", "b"), Seq.empty, Seq.empty)
+    val t = Tweet(6L, 0, Seq("a", "b"), Seq.empty, Seq.empty)
     assert(MentionExtractor.mentionsOf(t, new CTrie, NpChunker, 11L, None).isEmpty)
   }
 
   test("mining matches case-insensitively across variants of the same entity") {
     val trie = CTrie.fromKeys(Seq("coronavirus"))
-    val t = Tweet("T", 7L, 0, Seq("coronavirus", "vs", "CORONAVIRUS", "vs", "Coronavirus"),
+    val t = Tweet(7L, 0, Seq("coronavirus", "vs", "CORONAVIRUS", "vs", "Coronavirus"),
       Seq.empty, Seq.empty)
     val ms = MentionExtractor.mentionsOf(t, trie, NpChunker, 11L, None)
     assert(ms.size == 3)

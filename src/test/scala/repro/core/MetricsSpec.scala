@@ -44,8 +44,8 @@ class MetricsSpec extends SparkSpec {
   test("perfect prediction gives F1 = 1") {
     import spark.implicits._
     val tweets = spark.createDataset(Seq(
-      Tweet("T", 1L, 0, Seq("a", "B", "c"), Seq(GoldSpan(1, 1, 1L)), Seq.empty),
-      Tweet("T", 2L, 0, Seq("X", "Y"), Seq(GoldSpan(0, 2, 2L)), Seq.empty)))
+      Tweet(1L, 0, Seq("a", "B", "c"), Seq(GoldSpan(1, 1, 1L)), Seq.empty),
+      Tweet(2L, 0, Seq("X", "Y"), Seq(GoldSpan(0, 2, 2L)), Seq.empty)))
     val pred = Seq((1L, 0, 1, 1), (2L, 0, 0, 2)).toDF("tweetId", "sentId", "start", "len")
     val e = Metrics.evaluate(pred, tweets)
     assert(e == EvalCounts(2, 0, 0))
@@ -55,7 +55,7 @@ class MetricsSpec extends SparkSpec {
   test("span length mismatch is both a false positive and a false negative") {
     import spark.implicits._
     val tweets = spark.createDataset(Seq(
-      Tweet("T", 1L, 0, Seq("Andy", "Beshear", "x"), Seq(GoldSpan(0, 2, 1L)), Seq.empty)))
+      Tweet(1L, 0, Seq("Andy", "Beshear", "x"), Seq(GoldSpan(0, 2, 1L)), Seq.empty)))
     val pred = Seq((1L, 0, 0, 1)).toDF("tweetId", "sentId", "start", "len") // partial
     assert(Metrics.evaluate(pred, tweets) == EvalCounts(0, 1, 1))
   }
@@ -63,7 +63,7 @@ class MetricsSpec extends SparkSpec {
   test("duplicate predicted spans are counted once") {
     import spark.implicits._
     val tweets = spark.createDataset(Seq(
-      Tweet("T", 1L, 0, Seq("B", "x"), Seq(GoldSpan(0, 1, 1L)), Seq.empty)))
+      Tweet(1L, 0, Seq("B", "x"), Seq(GoldSpan(0, 1, 1L)), Seq.empty)))
     val pred = Seq((1L, 0, 0, 1), (1L, 0, 0, 1)).toDF("tweetId", "sentId", "start", "len")
     assert(Metrics.evaluate(pred, tweets) == EvalCounts(1, 0, 0))
   }
@@ -71,8 +71,8 @@ class MetricsSpec extends SparkSpec {
   test("empty predictions give all false negatives") {
     import spark.implicits._
     val tweets = spark.createDataset(Seq(
-      Tweet("T", 1L, 0, Seq("B", "x"), Seq(GoldSpan(0, 1, 1L)), Seq.empty),
-      Tweet("T", 2L, 0, Seq("C", "y"), Seq(GoldSpan(0, 1, 2L)), Seq.empty)))
+      Tweet(1L, 0, Seq("B", "x"), Seq(GoldSpan(0, 1, 1L)), Seq.empty),
+      Tweet(2L, 0, Seq("C", "y"), Seq(GoldSpan(0, 1, 2L)), Seq.empty)))
     val pred = Seq.empty[(Long, Int, Int, Int)].toDF("tweetId", "sentId", "start", "len")
     assert(Metrics.evaluate(pred, tweets) == EvalCounts(0, 0, 2))
   }
@@ -80,7 +80,7 @@ class MetricsSpec extends SparkSpec {
   test("goldSpans explodes every gold mention once") {
     import spark.implicits._
     val tweets = spark.createDataset(Seq(
-      Tweet("T", 1L, 0, Seq("A", "b", "C"), Seq(GoldSpan(0, 1, 1L), GoldSpan(2, 1, 2L)), Seq.empty)))
+      Tweet(1L, 0, Seq("A", "b", "C"), Seq(GoldSpan(0, 1, 1L), GoldSpan(2, 1, 2L)), Seq.empty)))
     assert(Metrics.goldSpans(tweets.rdd) == Set((1L, 0, 0, 1), (1L, 0, 2, 1)))
   }
 

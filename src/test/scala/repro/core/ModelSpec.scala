@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class ModelSpec extends AnyFunSuite {
 
-  private val tweet = Tweet("D", 7L, 0, Seq("the", "Andy", "Beshear", "said"),
+  private val tweet = Tweet(7L, 0, Seq("the", "Andy", "Beshear", "said"),
     Seq(GoldSpan(1, 2, 42L)), Seq(LureSpan(3, 1, 9L)))
 
   test("surface joins the span tokens with spaces") {

@@ -16,15 +16,14 @@ class StreamingGlobalizerSpec extends SparkSpec {
   private val spec = TweetGen.DevStream
   private lazy val trained = TestFixtures.trained(spark, Aguilar)
 
-  private def spans(df: org.apache.spark.sql.DataFrame): Set[(Long, Int, Int)] =
-    df.collect().map(r => (r.getLong(0), r.getInt(2), r.getInt(3))).toSet
+  private def spans(df: org.apache.spark.sql.DataFrame): Set[Metrics.Span] = Metrics.spansOf(df).toSet
 
   test("a single micro-batch equals the batch pipeline output") {
     val batchRun = Globalizer.run(spark, spec, Aguilar, trained.classifier,
       trained.phraseEmbedder, chargeEmbeddingCost = false)
     val (streamOut, state) = StreamingGlobalizer.runBatched(
       spark, spec, Aguilar, trained.classifier, trained.phraseEmbedder, nBatches = 1)
-    assert(spans(streamOut) == spans(batchRun.finalSpans))
+    assert(spans(streamOut) == batchRun.spans.toSet)
 
     val batchScored = batchRun.scored.map { case (r, s) => r.key -> ((r, s)) }.toMap
     val streamScored = state.records.map(r => r.key -> ((r, trained.classifier.score(r)))).toMap
@@ -39,11 +38,9 @@ class StreamingGlobalizerSpec extends SparkSpec {
   }
 
   test("multi-batch state accumulates every batch's candidates") {
-    import spark.implicits._
     val (_, state) = StreamingGlobalizer.runBatched(
       spark, spec, Aguilar, trained.classifier, trained.phraseEmbedder, nBatches = 4)
-    val tweets = TweetGen.generate(spark, spec)
-    val allKeys = Aguilar.detectAll(tweets, spec).map(_.key).distinct().collect().toSet
+    val allKeys = TweetGen.generateLocal(spec).flatMap(Aguilar.detector(spec)).map(_.key).toSet
     assert(state.keys.toSet == allKeys)
   }
 
@@ -60,11 +57,8 @@ class StreamingGlobalizerSpec extends SparkSpec {
     val batchPools = batchRun.scored.map { case (r, _) => r.key -> r }.toMap
 
     // Keys discovered in batch 1 (local detections of the first half):
-    import spark.implicits._
-    val sp = spec // local copy: the lambda must not capture the test class
-    val firstHalf = spark.range(0L, (sp.nTweets + 1) / 2).as[Long]
-      .map(id => TweetGen.makeTweet(sp, id))
-    val batch1Keys = Aguilar.detectAll(firstHalf, spec).map(_.key).distinct().collect().toSet
+    val firstHalf = TweetGen.generateLocal(spec).take((spec.nTweets + 1) / 2)
+    val batch1Keys = firstHalf.flatMap(Aguilar.detector(spec)).map(_.key).toSet
 
     val allKeys = state2.keys.toSet
     def tokens(k: String): Set[String] = k.split(" ").toSet
@@ -82,12 +76,11 @@ class StreamingGlobalizerSpec extends SparkSpec {
   }
 
   test("multi-batch recall is close to (and never far above) batch recall") {
-    val tweets = TweetGen.generate(spark, spec)
     val batchRun = Globalizer.run(spark, spec, Aguilar, trained.classifier,
       trained.phraseEmbedder, chargeEmbeddingCost = false)
     val (streamOut, _) = StreamingGlobalizer.runBatched(
       spark, spec, Aguilar, trained.classifier, trained.phraseEmbedder, nBatches = 4)
-    val streamEval = Metrics.evaluate(streamOut, tweets)
+    val streamEval = Metrics.score(spans(streamOut), Metrics.goldSpans(TweetGen.tweets(spark.sparkContext, spec)))
     val batchEval = batchRun.globalEval
     // Early batches cannot know later candidates, so streaming recall is
     // bounded by batch recall (modulo γ/α band flips from partial pools).
@@ -95,9 +88,7 @@ class StreamingGlobalizerSpec extends SparkSpec {
       s"stream=${streamEval.recall} batch=${batchEval.recall}")
     assert(streamEval.recall > batchEval.recall * 0.7,
       "streaming should still recover most mentions")
-    assert(streamEval.f1 > Metrics.evaluate(
-      Metrics.detectionSpans(batchRun.localDets), tweets).f1,
-      "streaming global must still beat local EMD")
+    assert(streamEval.f1 > batchRun.localEval.f1, "streaming global must still beat local EMD")
   }
 
   test("runBatched leaves nothing cached") {
@@ -106,28 +97,24 @@ class StreamingGlobalizerSpec extends SparkSpec {
     val before = sc.getPersistentRDDs.size
     val (out, _) = StreamingGlobalizer.runBatched(
       spark, spec, Aguilar, clf, trained.phraseEmbedder, nBatches = 2)
-    assert(out.count() == out.distinct().count())
+    val outSpans = Metrics.spansOf(out)
+    assert(outSpans.size == outSpans.distinct.size)
     assert(sc.getPersistentRDDs.size == before)
   }
 
-  private def batchOf(lo: Long, hi: Long) = {
-    import spark.implicits._
-    val sp = spec // local copy: the lambda must not capture the test class
-    spark.range(lo, hi).as[Long].map(id => TweetGen.makeTweet(sp, id))
-  }
+  private def batchOf(lo: Long, hi: Long) = TweetGen.tweets(spark.sparkContext, spec, lo, hi)
 
   test("a warm processBatch runs 2 Spark jobs of one stage each and persists nothing") {
     val sc = spark.sparkContext
     val state = new StreamingGlobalizer.State
     def process(lo: Long, hi: Long): Unit = StreamingGlobalizer.processBatch(
-      batchOf(lo, hi), spec, Aguilar, trained.classifier, trained.phraseEmbedder, state).collect()
+      batchOf(lo, hi), spec, Aguilar, trained.classifier, trained.phraseEmbedder, state)
     process(0, 300)
 
     val persisted = sc.getPersistentRDDs.keySet
     val (_, stages) = stagesPerJob(process(300, 600))
-    // Local detection, then mining with pooling; the output is a local
-    // DataFrame, which collects without a job. One stage per job means no
-    // shuffle.
+    // Local detection, then mining with pooling; the output is held on the
+    // driver. One stage per job means no shuffle.
     assert(stages.size == 2, stages)
     assert(stages.forall(_ == 1), stages)
     assert(sc.getPersistentRDDs.keySet == persisted)
@@ -137,7 +124,7 @@ class StreamingGlobalizerSpec extends SparkSpec {
     val sc = spark.sparkContext
     val state = new StreamingGlobalizer.State
     def process(b: Int): Unit = StreamingGlobalizer.processBatch(
-      batchOf(b * 30L, b * 30L + 30), spec, Aguilar, trained.classifier, trained.phraseEmbedder, state).collect()
+      batchOf(b * 30L, b * 30L + 30), spec, Aguilar, trained.classifier, trained.phraseEmbedder, state)
     process(0)
     val persisted = sc.getPersistentRDDs.keySet
     val broadcasts = BroadcastBlocks.held(sc)
@@ -154,7 +141,7 @@ class StreamingGlobalizerSpec extends SparkSpec {
   test("cached scores equal a full re-score, and another classifier re-scores everything") {
     val state = new StreamingGlobalizer.State
     def process(clf: EntityClassifier, lo: Long): Unit = StreamingGlobalizer.processBatch(
-      batchOf(lo, lo + 150), spec, Aguilar, clf, trained.phraseEmbedder, state).collect()
+      batchOf(lo, lo + 150), spec, Aguilar, clf, trained.phraseEmbedder, state)
     def rescored(clf: EntityClassifier) = state.records.map(r => (r.key, clf.score(r)))
     Seq(0L, 150L, 300L).foreach(process(trained.classifier, _))
     assert(state.scored.map { case (r, s) => (r.key, s) } == rescored(trained.classifier))
@@ -164,12 +151,11 @@ class StreamingGlobalizerSpec extends SparkSpec {
   }
 
   test("candidate records are sorted by key and independent of the input partitioning") {
-    import spark.implicits._
     val sp = TweetGen.D5Mini // local copy: the lambda must not capture the test class
     Seq(NpChunker -> 0.0, Aguilar -> 1e-12).foreach { case (system, relTol) =>
       val pe = TestFixtures.trained(spark, system).phraseEmbedder
       val byK = Seq(1, 3, 8).map { k =>
-        val tweets = spark.range(0, sp.nTweets, 1, k).as[Long].map(id => TweetGen.makeTweet(sp, id)).rdd
+        val tweets = spark.sparkContext.range(0, sp.nTweets, 1, k).map(TweetGen.makeTweet(sp, _))
         val dets = Globalizer.localPhase(tweets, system, sp, chargeEmbeddingCost = false).dets
         val state = new StreamingGlobalizer.State
         state.absorb(tweets, dets, sp, system, pe)
@@ -195,12 +181,10 @@ class StreamingGlobalizerSpec extends SparkSpec {
   }
 
   test("processBatch over an empty batch leaves state usable") {
-    import spark.implicits._
     val state = new StreamingGlobalizer.State
-    val empty = spark.emptyDataset[Tweet]
     val out = StreamingGlobalizer.processBatch(
-      empty, spec, Aguilar, trained.classifier, trained.phraseEmbedder, state)
-    assert(out.count() == 0)
+      spark.sparkContext.emptyRDD[Tweet], spec, Aguilar, trained.classifier, trained.phraseEmbedder, state)
+    assert(out.isEmpty)
     assert(state.keys.isEmpty)
   }
 
@@ -209,7 +193,7 @@ class StreamingGlobalizerSpec extends SparkSpec {
     implicit val sqlCtx = spark.sqlContext
     val stream = MemoryStream[Tweet]
     val state = new StreamingGlobalizer.State
-    val collected = mutable.ArrayBuffer.empty[Set[(Long, Int, Int)]]
+    val collected = mutable.ArrayBuffer.empty[Set[Metrics.Span]]
     val query = StreamingGlobalizer.runStream(
       stream.toDS(), spec, Aguilar, trained.classifier, trained.phraseEmbedder, state,
       (_, df) => collected.synchronized { collected += spans(df) })

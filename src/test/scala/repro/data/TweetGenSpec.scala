@@ -31,6 +31,11 @@ class TweetGenSpec extends SparkSpec {
       assert(parts(TweetGen.generate(spark, spec).rdd) == parts(tweets), spec.nTweets)
       assert(TweetGen.generate(spark, spec).collect().toSeq == TweetGen.generateLocal(spec), spec.nTweets)
     }
+    // Id sub-ranges, as runBatched's micro-batches read them.
+    Seq((150L, 300L), (300L, 600L), (7L, 19L), (200L, 201L)).foreach { case (from, until) =>
+      val ids = TweetGen.tweets(spark.sparkContext, TweetGen.DevStream, from, until).map(_.tweetId)
+      assert(parts(ids) == parts(spark.range(from, until).as[Long].rdd), (from, until))
+    }
   }
 
   test("generation is deterministic across calls") {

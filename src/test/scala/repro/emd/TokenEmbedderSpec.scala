@@ -11,7 +11,7 @@ class TokenEmbedderSpec extends AnyFunSuite {
   private val dsSeed = 11L
 
   private def tweetWithGold(id: Long): Tweet =
-    Tweet("T", id, 0, Seq("the", "Vebaba", "spoke"), Seq(GoldSpan(1, 1, 5L)), Seq.empty)
+    Tweet(id, 0, Seq("the", "Vebaba", "spoke"), Seq(GoldSpan(1, 1, 5L)), Seq.empty)
 
   test("embeddings are deterministic") {
     val t = tweetWithGold(1L)
@@ -61,7 +61,7 @@ class TokenEmbedderSpec extends AnyFunSuite {
     assert(frac > 0.06 && frac < 0.2, s"entity-like lure fraction=$frac") // designed 0.12
     val lid = likeIds.head
     val classes = (0L until 100L).map { id =>
-      val t = Tweet("T", id, 0, Seq("a", "Zobaba", "b"), Seq.empty, Seq(LureSpan(1, 1, lid)))
+      val t = Tweet(id, 0, Seq("a", "Zobaba", "b"), Seq.empty, Seq(LureSpan(1, 1, lid)))
       TokenEmbedder.posClass(t, 1, salt, dsSeed)
     }
     assert(classes.count(_ == TokenEmbedder.Entity) > 50)
@@ -70,7 +70,7 @@ class TokenEmbedderSpec extends AnyFunSuite {
   test("ordinary lures are non-entity context") {
     val plainId = (1L to 2000L).find(id => !TokenEmbedder.entityLikeLure(dsSeed, id)).get
     (0L until 50L).foreach { id =>
-      val t = Tweet("T", id, 0, Seq("a", "Zobaba", "b"), Seq.empty, Seq(LureSpan(1, 1, plainId)))
+      val t = Tweet(id, 0, Seq("a", "Zobaba", "b"), Seq.empty, Seq(LureSpan(1, 1, plainId)))
       assert(TokenEmbedder.posClass(t, 1, salt, dsSeed) == TokenEmbedder.NonEntity)
     }
   }
@@ -96,7 +96,7 @@ class TokenEmbedderSpec extends AnyFunSuite {
   }
 
   test("phraseMean equals the mean of token embeddings (Eq. 1)") {
-    val t = Tweet("T", 9L, 0, Seq("Andy", "Beshear", "spoke"), Seq(GoldSpan(0, 2, 3L)), Seq.empty)
+    val t = Tweet(9L, 0, Seq("Andy", "Beshear", "spoke"), Seq(GoldSpan(0, 2, 3L)), Seq.empty)
     val m = TokenEmbedder.phraseMean(dim, salt, dsSeed, t, 0, 2)
     val e0 = TokenEmbedder.tokenEmbedding(dim, salt, dsSeed, t, 0)
     val e1 = TokenEmbedder.tokenEmbedding(dim, salt, dsSeed, t, 1)

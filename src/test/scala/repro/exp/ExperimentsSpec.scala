@@ -63,4 +63,13 @@ class ExperimentsSpec extends SparkSpec {
     assert(table1Stats(spark, TweetGen.DevStream).nTweets == TweetGen.DevStream.nTweets)
     assert(sc.getPersistentRDDs.keySet == before)
   }
+
+  test("table1Stats is one one-stage job and counts what the local generator holds") {
+    val spec = TweetGen.DevStream
+    val (r, stages) = stagesPerJob(table1Stats(spark, spec))
+    assert(stages == Seq(1), stages)
+    val gold = TweetGen.generateLocal(spec).flatMap(_.gold)
+    assert((r.nTweets, r.nMentions, r.nEntities) ==
+      ((spec.nTweets.toLong, gold.size.toLong, gold.map(_.entityId).distinct.size.toLong)))
+  }
 }
