@@ -13,8 +13,8 @@ import repro.exp.Experiments
 object RunTable3 {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("repro-table3")
-    val specs = TweetGen.evalSpecs.filter(s => args.isEmpty || args.contains(s.name))
-    val systems = LocalEmd.all.filter(s => args.isEmpty || args.contains(s.name))
+    val specs = TweetGen.evalSpecs.filter(s => args.contains(s.name))
+    val systems = LocalEmd.all.filter(s => args.contains(s.name))
     val useSpecs = if (specs.isEmpty) TweetGen.evalSpecs else specs
     val useSystems = if (systems.isEmpty) LocalEmd.all else systems
     try {

@@ -80,6 +80,6 @@ object GlobalPooling {
   def pool(mentions: Dataset[MentionEmb]): Dataset[CandidateRecord] = {
     val spark = mentions.sparkSession
     import spark.implicits._
-    pools(mentions.rdd)(_.key, _.emb).toSeq.map { case (key, p) => CandidateRecord(key, p.count, p.mean) }.toDS()
+    pools(mentions.rdd)(_.mention.key, _.emb).toSeq.map { case (key, p) => CandidateRecord(key, p.count, p.mean) }.toDS()
   }
 }

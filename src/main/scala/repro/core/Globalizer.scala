@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions.col
 import repro.data.TweetGen
 import repro.emd.{LocalEmd, TokenEmbedder}
 
@@ -15,11 +14,11 @@ import scala.collection.mutable
   *   Classifier (α/β/γ) → final entity mentions.
   *
   * A batch run is one streaming iteration over the whole dataset on an
-  * empty CandidateBase: [[localPhase]] here, then
-  * [[StreamingGlobalizer.globalPhase]] on a fresh
-  * [[StreamingGlobalizer.State]], the same code every micro-batch runs.
-  * It reads the tweets from [[TweetGen.tweets]], so it plans no query, and
-  * it is two one-stage Spark jobs for every system.
+  * empty CandidateBase: [[StreamingGlobalizer.processBatch]] on a fresh
+  * [[StreamingGlobalizer.State]], the same code every micro-batch runs,
+  * which also times the iteration. It reads the tweets from
+  * [[TweetGen.tweets]], so it plans no query, and it is two one-stage Spark
+  * jobs for every system.
   *
   * Timing attribution follows the paper's Table III: "Local EMD time" is
   * the per-sentence EMD pass (for deep systems this includes generating the
@@ -35,13 +34,13 @@ object Globalizer {
   }
 
   /** Everything a bench or test needs from one pipeline run, held on the
-    * driver: the local detections, the mined spans, the scored candidates
+    * driver: the local detections, the mined mentions, the scored candidates
     * and the output spans. `localDets`, `mentions` and `finalSpans` are
     * views of the same values as local Datasets, each built when it is
     * first read; a run builds none of them.
     */
   final case class RunOutput(detections: Seq[Detection],
-                             mined: Seq[MentionSpan],
+                             mined: Seq[Detection],
                              scored: Seq[(CandidateRecord, Double)],
                              spans: Seq[Metrics.Span],
                              localEval: EvalCounts,
@@ -49,7 +48,7 @@ object Globalizer {
                              timings: Timings)(spark: SparkSession) {
     import spark.implicits._
     lazy val localDets: Dataset[Detection] = detections.toDS()
-    lazy val mentions: Dataset[MentionSpan] = mined.toDS()
+    lazy val mentions: Dataset[Detection] = mined.toDS()
     lazy val finalSpans: DataFrame = Metrics.spanFrame(spark, spans)
   }
 
@@ -57,9 +56,6 @@ object Globalizer {
     * the gold spans of the tweets it read, each in partition order.
     */
   final case class LocalOutput(dets: Seq[Detection], gold: Seq[Metrics.Span])
-
-  private def now(): Long = System.nanoTime()
-  private def secs(from: Long, to: Long): Double = (to - from) / 1e9
 
   /** Local EMD phase of an iteration, in one narrow job that reads each
     * tweet once: every partition runs [[LocalEmd.detector]] on its tweets
@@ -123,10 +119,11 @@ object Globalizer {
     * The union is distinct by construction: the CTrie scan yields
     * non-overlapping spans per sentence, [[LocalEmd.detector]] yields each
     * detection of a sentence once, and a span's key (hence its band) is a
-    * function of its surface, so no span is both α and γ. This holds when
-    * (tweetId, sentId) identifies one input row.
+    * function of its span ([[Detection.of]] makes every detection and mined
+    * mention), so no span is both α and γ. This holds when (tweetId,
+    * sentId) identifies one input row.
     */
-  def assembleOutput(mentions: Seq[MentionSpan],
+  def assembleOutput(mentions: Seq[Detection],
                      localDets: Seq[Detection],
                      band: String => Option[Int]): Seq[Metrics.Span] =
     mentions.collect { case m if band(m.key).contains(EntityClassifier.Alpha) => m.span } ++
@@ -134,7 +131,7 @@ object Globalizer {
 
   /** [[assembleOutput]] of mined mentions and detections held in Datasets,
     * as a local DataFrame over [[Metrics.SpanCols]]. The mentions are
-    * projected to their spans and keys before they are collected, so their
+    * projected to their [[Detection]]s before they are collected, so their
     * embeddings stay on the executors.
     */
   def assembleOutput(mentions: Dataset[MentionEmb],
@@ -142,17 +139,17 @@ object Globalizer {
                      bands: Map[String, Int]): DataFrame = {
     val spark = mentions.sparkSession
     import spark.implicits._
-    val spans = mentions.select((Metrics.SpanCols :+ "key").map(col): _*).as[MentionSpan].collect()
-    Metrics.spanFrame(spark, assembleOutput(spans.toSeq, localDets.collect().toSeq, bands.get))
+    val mined = mentions.select("mention.*").as[Detection].collect()
+    Metrics.spanFrame(spark, assembleOutput(mined.toSeq, localDets.collect().toSeq, bands.get))
   }
 
   /** One full pipeline run over a dataset with a trained classifier (and,
-    * for deep systems, a trained Phrase Embedder), in two one-stage Spark
-    * jobs over [[TweetGen.tweets]]: local detection, which also returns the
-    * gold spans, then mining with pooling. It caches nothing and plans no
-    * query. After the timed phases it scores the local detections and the
-    * assembled output against the gold spans by set arithmetic
-    * ([[Metrics.score]]) on the driver.
+    * for deep systems, a trained Phrase Embedder): one
+    * [[StreamingGlobalizer.processBatch]] over [[TweetGen.tweets]] on a
+    * fresh state, charged with the embedding cost unless told otherwise.
+    * It caches nothing and plans no query. After the timed iteration it
+    * scores the local detections and the assembled output against the gold
+    * spans by set arithmetic ([[Metrics.score]]) on the driver.
     */
   def run(spark: SparkSession,
           spec: TweetGen.Spec,
@@ -160,18 +157,10 @@ object Globalizer {
           clf: EntityClassifier,
           phraseEmbedder: Option[PhraseEmbedder],
           chargeEmbeddingCost: Boolean = true): RunOutput = {
-    val batch = TweetGen.tweets(spark.sparkContext, spec)
-
-    val t0 = now()
-    val local = localPhase(batch, system, spec, chargeEmbeddingCost)
-    val t1 = now()
     val state = new StreamingGlobalizer.State
-    val global = StreamingGlobalizer.globalPhase(batch, local.dets, spec, system, clf, phraseEmbedder, state)
-    val t2 = now()
-
-    val localEval = Metrics.score(local.dets.map(_.span), local.gold)
-    val globalEval = Metrics.score(global.spans, local.gold)
-    RunOutput(local.dets, global.mentions, state.scored, global.spans,
-      localEval, globalEval, Timings(secs(t0, t1), secs(t1, t2)))(spark)
+    val it = StreamingGlobalizer.processBatch(TweetGen.tweets(spark.sparkContext, spec),
+      spec, system, clf, phraseEmbedder, state, chargeEmbeddingCost)
+    RunOutput(it.detections, it.mined, state.scored, it.spans,
+      Metrics.score(it.detections.map(_.span), it.gold), Metrics.score(it.spans, it.gold), it.timings)(spark)
   }
 }

@@ -6,16 +6,7 @@ import repro.core.{SyntacticEmbedding => Syn}
 import repro.emd.{LocalEmd, TokenEmbedder}
 
 /** A candidate mention with its local candidate embedding. */
-case class MentionEmb(tweetId: Long, sentId: Int, start: Int, len: Int, key: String, emb: Array[Double])
-
-/** A mined mention's span and candidate key, without its embedding. */
-case class MentionSpan(tweetId: Long, sentId: Int, start: Int, len: Int, key: String) {
-  def span: Metrics.Span = (tweetId, sentId, start, len)
-}
-
-object MentionSpan {
-  def of(m: MentionEmb): MentionSpan = MentionSpan(m.tweetId, m.sentId, m.start, m.len, m.key)
-}
+case class MentionEmb(mention: Detection, emb: Array[Double])
 
 /** Occurrence mining (paper Sec. V-A + V-B): scan every tweet-sentence
   * against the broadcast CTrie of seed candidates, recover all mentions
@@ -40,7 +31,7 @@ object MentionExtractor {
           val pooled = TokenEmbedder.phraseMean(system.dim, system.params.salt, datasetSeed, tweet, start, len)
           phraseEmbedder.map(_.embed(pooled)).getOrElse(pooled)
         } else Syn.embed(tweet.tokens, start, len)
-      MentionEmb(tweet.tweetId, tweet.sentId, start, len, Detection.keyOf(tweet.surface(start, len)), emb)
+      MentionEmb(Detection.of(tweet, start, len), emb)
     }
   }
 

@@ -24,10 +24,12 @@ case class Tweet(tweetId: Long,
   def surface(start: Int, len: Int): String = tokens.slice(start, start + len).mkString(" ")
 }
 
-/** A span emitted by a Local EMD system for one tweet-sentence. */
-case class Detection(tweetId: Long, sentId: Int, start: Int, len: Int, surface: String) {
-  /** Case-insensitive candidate key, the CTrie/CandidateBase identity. */
-  def key: String = Detection.keyOf(surface)
+/** A candidate mention: a span of one tweet-sentence and its
+  * case-insensitive candidate key, the CTrie/CandidateBase identity. Local
+  * EMD emits detections and occurrence mining emits mined mentions; both
+  * are made by [[Detection.of]].
+  */
+case class Detection(tweetId: Long, sentId: Int, start: Int, len: Int, key: String) {
   def span: Metrics.Span = (tweetId, sentId, start, len)
 }
 
@@ -36,6 +38,10 @@ object Detection {
     * keys and HIRE-NER token types alike: no key depends on the JVM locale.
     */
   def keyOf(surface: String): String = surface.toLowerCase(java.util.Locale.ROOT)
+
+  /** The mention at tokens [start, start+len) of `tweet`, keyed by its surface. */
+  def of(tweet: Tweet, start: Int, len: Int): Detection =
+    Detection(tweet.tweetId, tweet.sentId, start, len, keyOf(tweet.surface(start, len)))
 }
 
 /** A candidate's global record: pooled embedding over all its mentions. */

@@ -16,16 +16,16 @@ import scala.collection.mutable
   *   - per-candidate running (count, sum) pools, merged batch by batch —
   *     the "incrementally updated global embedding" of Sec. V.
   *
-  * An iteration is Local EMD on the batch followed by [[globalPhase]]: the
+  * An iteration ([[processBatch]]) is Local EMD on the batch, then the
   * batch is mined against the cumulative CTrie and every candidate is
-  * classified under its updated global embedding. `globalPhase` is the only
-  * copy of that chain. It runs on the batch's RDD in two narrow jobs, local
-  * detection and mining with pooling, whose per-partition results the
-  * driver collects and merges; no step plans a query or caches anything.
-  * [[processBatch]] runs it on an RDD for the driver-side loop
-  * [[runBatched]] and for the `foreachBatch` sink of [[runStream]], the
-  * program's one Dataset boundary; the batch pipeline [[Globalizer.run]]
-  * is one iteration over the whole dataset on a fresh `State`.
+  * classified under its updated global embedding. `processBatch` is the
+  * only copy of that chain. It runs on the batch's RDD in two narrow jobs,
+  * local detection and mining with pooling, whose per-partition results
+  * the driver collects and merges; no step plans a query or caches
+  * anything. It serves the driver-side loop [[runBatched]], the
+  * `foreachBatch` sink of [[runStream]], the program's one Dataset
+  * boundary, and the batch pipeline [[Globalizer.run]], which is one
+  * iteration over the whole dataset on a fresh `State`.
   */
 object StreamingGlobalizer {
 
@@ -58,15 +58,15 @@ object StreamingGlobalizer {
                localDets: Seq[Detection],
                spec: TweetGen.Spec,
                system: LocalEmd,
-               phraseEmbedder: Option[PhraseEmbedder]): Seq[MentionSpan] = {
+               phraseEmbedder: Option[PhraseEmbedder]): Seq[Detection] = {
       keys ++= Globalizer.seedKeys(localDets)
       val trie = batch.sparkContext.broadcast(CTrie.fromKeys(keys))
       val mine = MentionExtractor.miner(trie, system, spec.seed, phraseEmbedder)
       val parts =
         try batch.mapPartitions { tweets =>
-          val spans = mutable.ArrayBuffer.empty[MentionSpan]
-          val mentions = tweets.flatMap(mine).map { m => spans += MentionSpan.of(m); m }
-          val part = GlobalPooling.partitionPools(mentions)(_.key, _.emb)
+          val spans = mutable.ArrayBuffer.empty[Detection]
+          val mentions = tweets.flatMap(mine).map { m => spans += m.mention; m }
+          val part = GlobalPooling.partitionPools(mentions)(_.mention.key, _.emb)
           Iterator.single((part, spans.toArray))
         }.collect()
         finally trie.destroy()
@@ -94,40 +94,39 @@ object StreamingGlobalizer {
     def scored: Seq[(CandidateRecord, Double)] = records.map(r => (r, scores(r.key)))
   }
 
-  /** What the global half of an iteration returns, held on the driver: the
-    * batch's mined mentions and its final spans.
+  /** What one iteration returns, held on the driver, each in partition
+    * order: the batch's local detections and gold spans, its mined
+    * mentions, its final spans, and the iteration's local and global times.
     */
-  final case class GlobalOutput(mentions: Seq[MentionSpan], spans: Seq[Metrics.Span])
+  final case class Iteration(detections: Seq[Detection],
+                             gold: Seq[Metrics.Span],
+                             mined: Seq[Detection],
+                             spans: Seq[Metrics.Span],
+                             timings: Globalizer.Timings)
 
-  /** The global half of one iteration over `batch`, given its local
-    * detections: update `state` with the batch ([[State.absorb]]), score
-    * the candidates it touched and assemble the batch's output spans on the
-    * driver ([[Globalizer.assembleOutput]]).
-    */
-  def globalPhase(batch: RDD[Tweet],
-                  localDets: Seq[Detection],
-                  spec: TweetGen.Spec,
-                  system: LocalEmd,
-                  clf: EntityClassifier,
-                  phraseEmbedder: Option[PhraseEmbedder],
-                  state: State): GlobalOutput = {
-    val mentions = state.absorb(batch, localDets, spec, system, phraseEmbedder)
-    state.scoreWith(clf)
-    GlobalOutput(mentions, Globalizer.assembleOutput(mentions, localDets, state.band))
-  }
-
-  /** One framework iteration over a micro-batch, in two Spark jobs (local
-    * detection, then mining with pooling); returns the batch's final spans,
-    * held on the driver. Nothing stays cached or broadcast.
+  /** One framework iteration over a batch, in two Spark jobs: local
+    * detection ([[Globalizer.localPhase]]), then the CandidateBase update
+    * ([[State.absorb]]), after which the driver scores the candidates it
+    * touched ([[State.scoreWith]]) and assembles the batch's output spans
+    * ([[Globalizer.assembleOutput]]). Nothing stays cached or broadcast.
+    * `chargeEmbeddingCost` adds the embedding-cost pass to local
+    * detection, as a batch run does; a micro-batch skips it.
     */
   def processBatch(batch: RDD[Tweet],
                    spec: TweetGen.Spec,
                    system: LocalEmd,
                    clf: EntityClassifier,
                    phraseEmbedder: Option[PhraseEmbedder],
-                   state: State): Seq[Metrics.Span] = {
-    val localDets = Globalizer.localPhase(batch, system, spec, chargeEmbeddingCost = false).dets
-    globalPhase(batch, localDets, spec, system, clf, phraseEmbedder, state).spans
+                   state: State,
+                   chargeEmbeddingCost: Boolean = false): Iteration = {
+    val t0 = System.nanoTime()
+    val local = Globalizer.localPhase(batch, system, spec, chargeEmbeddingCost)
+    val t1 = System.nanoTime()
+    val mined = state.absorb(batch, local.dets, spec, system, phraseEmbedder)
+    state.scoreWith(clf)
+    val spans = Globalizer.assembleOutput(mined, local.dets, state.band(_))
+    val t2 = System.nanoTime()
+    Iteration(local.dets, local.gold, mined, spans, Globalizer.Timings((t1 - t0) / 1e9, (t2 - t1) / 1e9))
   }
 
   /** Drive a whole dataset through the framework in `nBatches` sequential
@@ -146,7 +145,7 @@ object StreamingGlobalizer {
     val per = math.ceil(n.toDouble / nBatches).toLong
     val spans = (0 until nBatches).flatMap { b =>
       val batch = TweetGen.tweets(spark.sparkContext, spec, math.min(n, b * per), math.min(n, (b + 1) * per))
-      processBatch(batch, spec, system, clf, phraseEmbedder, state)
+      processBatch(batch, spec, system, clf, phraseEmbedder, state).spans
     }
     (Metrics.spanFrame(spark, spans), state)
   }
@@ -165,7 +164,7 @@ object StreamingGlobalizer {
     tweetStream.writeStream
       .outputMode("append")
       .foreachBatch { (batch: Dataset[Tweet], batchId: Long) =>
-        val spans = processBatch(batch.rdd, spec, system, clf, phraseEmbedder, state)
+        val spans = processBatch(batch.rdd, spec, system, clf, phraseEmbedder, state).spans
         collector(batchId, Metrics.spanFrame(batch.sparkSession, spans))
       }
       .start()

@@ -83,7 +83,7 @@ trait LocalEmd extends Serializable {
         val len =
           if (g.len > 1 && Rng.unif(p.salt, tweet.tweetId, g.start.toLong, 3L) < p.partialRate) g.len - 1
           else g.len
-        out += Detection(tweet.tweetId, tweet.sentId, g.start, len, tweet.surface(g.start, len))
+        out += Detection.of(tweet, g.start, len)
       }
     }
 
@@ -91,7 +91,7 @@ trait LocalEmd extends Serializable {
       val lure = tweet.tokens.slice(l.start, l.start + l.len)
       val capFac = if (lure.exists(firstCap) || lure.exists(allUpper)) 1.0 else p.lureLowercaseFactor
       if (Rng.unif(p.salt, tweet.tweetId, l.start.toLong, 4L) < p.lureFpRate * capFac)
-        out += Detection(tweet.tweetId, tweet.sentId, l.start, l.len, tweet.surface(l.start, l.len))
+        out += Detection.of(tweet, l.start, l.len)
     }
 
     // Chunker-style junk: random filler unigrams outside all spans.
@@ -105,7 +105,7 @@ trait LocalEmd extends Serializable {
       (0 until junkDraws).foreach { j =>
         if (free.nonEmpty) {
           val pos = free(Rng.int(free.size, p.salt, tweet.tweetId, 6L, j.toLong))
-          out += Detection(tweet.tweetId, tweet.sentId, pos, 1, tweet.tokens(pos))
+          out += Detection.of(tweet, pos, 1)
         }
       }
     }
@@ -178,6 +178,4 @@ object BerTweet extends LocalEmd {
 
 object LocalEmd {
   val all: Seq[LocalEmd] = Seq(NpChunker, TwitterNlp, Aguilar, BerTweet)
-  def byName(name: String): LocalEmd =
-    all.find(_.name == name).getOrElse(sys.error(s"unknown Local EMD system: $name"))
 }

@@ -69,6 +69,7 @@ class CTrieSpec extends AnyFunSuite {
     Locale.setDefault(Locale.forLanguageTag("tr")) // "I" lower-cases to dotless "ı" here
     try {
       assert(Detection.keyOf("IRAN") == Detection.keyOf("iran"))
+      assert(Detection.of(Tweet(1L, 0, Seq("visit", "IRAN"), Seq.empty, Seq.empty), 1, 1).key == "iran")
       assert(Vocab.keyOf(Seq("IRAN")) == "iran")
       assert(trie("iran").scan(IndexedSeq("visit", "IRAN")) == Seq((1, 1)))
     } finally Locale.setDefault(saved)

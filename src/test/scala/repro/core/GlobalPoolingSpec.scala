@@ -7,7 +7,7 @@ class GlobalPoolingSpec extends SparkSpec {
   import GlobalPooling.Pool
 
   private def m(key: String, emb: Array[Double], tweetId: Long, start: Int = 0): MentionEmb =
-    MentionEmb(tweetId, 0, start, 1, key, emb)
+    MentionEmb(Detection(tweetId, 0, start, 1, key), emb)
 
   test("empty pool add clones the embedding") {
     val e = Array(1.0, 2.0)
@@ -78,7 +78,7 @@ class GlobalPoolingSpec extends SparkSpec {
     val ms = (0 until 200).map { i =>
       m(s"key${i % 7}", Array(i.toDouble, (i * i % 13).toDouble), i.toLong)
     }
-    val mentionsDf = ms.map(x => (x.key, x.emb(0), x.emb(1))).toDF("key", "e0", "e1")
+    val mentionsDf = ms.map(x => (x.mention.key, x.emb(0), x.emb(1))).toDF("key", "e0", "e1")
     val pooled = GlobalPooling.pool(spark.createDataset(ms))
       .map(r => (r.key, r.mentionCount, r.pooled(0), r.pooled(1)))
       .toDF("key", "mentions", "mean0", "mean1")

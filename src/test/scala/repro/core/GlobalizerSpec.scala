@@ -161,6 +161,13 @@ class GlobalizerSpec extends SparkSpec {
     assert(runAguilar.timings.localSec >= 0)
     assert(runAguilar.timings.globalOverheadSec > 0)
     assert(runAguilar.timings.totalSec >= runAguilar.timings.localSec)
+    // A micro-batch times itself too: each half of a warm iteration runs a Spark job.
+    val state = new StreamingGlobalizer.State
+    def process(lo: Long, hi: Long): StreamingGlobalizer.Iteration = StreamingGlobalizer.processBatch(
+      TweetGen.tweets(spark.sparkContext, spec, lo, hi), spec, NpChunker, trainedChunker.classifier, None, state)
+    process(0, 300)
+    val warm = process(300, 600).timings
+    assert(warm.localSec > 0 && warm.globalOverheadSec > 0, warm)
   }
 
   test("DevStream evaluation counts are pinned for every system (D5Mini models)") {
@@ -210,7 +217,7 @@ class GlobalizerSpec extends SparkSpec {
     assert(spans.toSet == runChunker.spans.toSet)
     // The stream sink's DataFrame is built from such spans, with no aggregate or exchange.
     val out = Metrics.spanFrame(spark, StreamingGlobalizer.processBatch(TweetGen.tweets(spark.sparkContext, spec),
-      spec, NpChunker, trainedChunker.classifier, None, new StreamingGlobalizer.State))
+      spec, NpChunker, trainedChunker.classifier, None, new StreamingGlobalizer.State).spans)
     val qe = out.queryExecution
     assert(qe.optimizedPlan.collect { case a: Aggregate => a }.isEmpty, qe.optimizedPlan)
     assert(!planNodes(qe.executedPlan).exists(_.isInstanceOf[Exchange]), qe.executedPlan)

@@ -22,7 +22,7 @@ class MentionExtractorSpec extends SparkSpec {
       MentionExtractor.mentionsOf(t, trie, sys, spec.seed, Some(pe)))
     val localSpans = tweets.flatMap(t => sys.detect(t, spec.hardness, spec.seed))
       .map(d => (d.tweetId, d.start, d.len)).toSet
-    val minedSpans = mined.map(m => (m.tweetId, m.start, m.len)).toSet
+    val minedSpans = mined.map(m => (m.mention.tweetId, m.mention.start, m.mention.len)).toSet
     // Mining recovers strictly more spans than local EMD produced (the
     // paper's false-negative removal), modulo longest-match correction.
     assert(minedSpans.size > localSpans.size)
@@ -37,7 +37,7 @@ class MentionExtractorSpec extends SparkSpec {
     val localKeys = tweets.flatMap(t => sys.detect(t, spec.hardness, spec.seed)).map(_.key).toSet
     val minedSpans = tweets.flatMap(t =>
       MentionExtractor.mentionsOf(t, trie, sys, spec.seed, Some(pe)))
-      .map(m => (m.tweetId, m.start, m.len)).toSet
+      .map(m => (m.mention.tweetId, m.mention.start, m.mention.len)).toSet
     val recoveredGold = tweets.flatMap { t =>
       t.gold.filter { g =>
         val span = (t.tweetId, g.start, g.len)
@@ -53,16 +53,16 @@ class MentionExtractorSpec extends SparkSpec {
     val t = Tweet(1L, 0, Seq("gov", "Andy", "Beshear", "said"),
       Seq(GoldSpan(1, 2, 1L)), Seq.empty)
     val ms = MentionExtractor.mentionsOf(t, trie, NpChunker, 11L, None)
-    assert(ms.map(m => (m.start, m.len)) == Seq((1, 2)))
-    assert(ms.head.key == "andy beshear")
+    assert(ms.map(m => (m.mention.start, m.mention.len)) == Seq((1, 2)))
+    assert(ms.head.mention.key == "andy beshear")
   }
 
   test("mention key is the lower-cased surface, surface keeps original case") {
     val trie = CTrie.fromKeys(Seq("coronavirus"))
     val t = Tweet(2L, 0, Seq("CORONAVIRUS", "cases"), Seq.empty, Seq.empty)
     val m = MentionExtractor.mentionsOf(t, trie, NpChunker, 11L, None).head
-    assert(t.surface(m.start, m.len) == "CORONAVIRUS")
-    assert(m.key == "coronavirus")
+    assert(t.surface(m.mention.start, m.mention.len) == "CORONAVIRUS")
+    assert(m.mention.key == "coronavirus")
   }
 
   test("non-deep systems get 6-dim syntactic embeddings") {
@@ -98,12 +98,11 @@ class MentionExtractorSpec extends SparkSpec {
     val trie = seedTrie(sys)
     val pe = new PhraseEmbedder(sys.dim, sys.dim, 4L)
     val local = tweets.flatMap(t =>
-      MentionExtractor.mentionsOf(t, trie, sys, spec.seed, Some(pe)))
-      .map(m => (m.tweetId, m.start, m.len, m.key)).toSet
+      MentionExtractor.mentionsOf(t, trie, sys, spec.seed, Some(pe))).map(_.mention).toSet
     val ds = TweetGen.generate(spark, spec)
     val bc = spark.sparkContext.broadcast(trie)
     val dist = MentionExtractor.mine(ds, bc, sys, spec.seed, Some(pe))
-      .collect().map(m => (m.tweetId, m.start, m.len, m.key)).toSet
+      .collect().map(_.mention).toSet
     assert(dist == local)
   }
 
@@ -125,7 +124,7 @@ class MentionExtractorSpec extends SparkSpec {
       Seq.empty, Seq.empty)
     val ms = MentionExtractor.mentionsOf(t, trie, NpChunker, 11L, None)
     assert(ms.size == 3)
-    assert(ms.map(_.key).toSet == Set("coronavirus"))
-    assert(ms.map(m => t.surface(m.start, m.len)).toSet == Set("coronavirus", "CORONAVIRUS", "Coronavirus"))
+    assert(ms.map(_.mention.key).toSet == Set("coronavirus"))
+    assert(ms.map(m => t.surface(m.mention.start, m.mention.len)).toSet == Set("coronavirus", "CORONAVIRUS", "Coronavirus"))
   }
 }

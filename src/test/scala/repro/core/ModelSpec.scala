@@ -17,8 +17,9 @@ class ModelSpec extends AnyFunSuite {
   }
 
   test("Detection.key derives from its surface") {
-    val d = Detection(7L, 0, 1, 2, "Andy Beshear")
+    val d = Detection.of(tweet, 1, 2)
     assert(d.key == "andy beshear")
+    assert(d.span == ((7L, 0, 1, 2)))
   }
 
   test("CandidateRecord holds its pooled embedding by reference semantics") {

@@ -184,7 +184,7 @@ class StreamingGlobalizerSpec extends SparkSpec {
     val state = new StreamingGlobalizer.State
     val out = StreamingGlobalizer.processBatch(
       spark.sparkContext.emptyRDD[Tweet], spec, Aguilar, trained.classifier, trained.phraseEmbedder, state)
-    assert(out.isEmpty)
+    assert(out.spans.isEmpty)
     assert(state.keys.isEmpty)
   }
 

@@ -29,13 +29,13 @@ class LocalEmdSpec extends SparkSpec {
       localDetections(sys).foreach { d =>
         val t = byId(d.tweetId)
         assert(d.start >= 0 && d.len >= 1 && d.start + d.len <= t.tokens.length)
-        assert(d.surface == t.surface(d.start, d.len))
+        assert(d.key == Detection.keyOf(t.surface(d.start, d.len)))
       }
     }
   }
 
   test("detection keys are lower-cased surfaces") {
-    val d = Detection(0L, 0, 0, 2, "Andy BESHEAR")
+    val d = Detection.of(Tweet(0L, 0, Seq("Andy", "BESHEAR"), Seq.empty, Seq.empty), 0, 2)
     assert(d.key == "andy beshear")
   }
 
@@ -136,11 +136,6 @@ class LocalEmdSpec extends SparkSpec {
     assert(Aguilar.dim == 100 && Aguilar.deep)
     assert(BerTweet.dim == 300 && BerTweet.deep)
     assert(!NpChunker.deep && !TwitterNlp.deep)
-  }
-
-  test("byName resolves all systems and rejects unknown names") {
-    LocalEmd.all.foreach(s => assert(LocalEmd.byName(s.name) eq s))
-    intercept[RuntimeException](LocalEmd.byName("nope"))
   }
 
   test("novel entities exist and are detected far less often") {
