@@ -52,11 +52,13 @@ object HireNer {
                       (t: Tweet, p: Int): Array[Double] =
     local(system, datasetSeed)(t, p) ++ memory(tokenKey(t, p))
 
+  /** Seed of the decoder's initialization, subsample, split and shuffle. */
+  private val Seed = 0x41EEL
+
   /** Train the token decoder on D5 (subsampled for tractability). */
   def train(spark: SparkSession,
             system: LocalEmd,
             sampleN: Int = 20000,
-            seed: Long = 0x41EEL,
             spec: TweetGen.Spec = TweetGen.D5): MlpClassifier = {
     val tweets = TweetGen.tweets(spark.sparkContext, spec)
     val memory = spark.sparkContext.broadcast(globalMemory(tweets, system, spec))
@@ -68,16 +70,16 @@ object HireNer {
       try tweets.flatMap { t =>
         t.tokens.indices.flatMap { p =>
           val entity = isEntity(t, p)
-          Option.when(Rng.unif(seed, t.tweetId, p.toLong) < (if (entity) 0.35 else 0.04))(
+          Option.when(Rng.unif(Seed, t.tweetId, p.toLong) < (if (entity) 0.35 else 0.04))(
             (features(system, dsSeed, memory.value)(t, p), if (entity) 1.0 else 0.0))
         }
       }.take(sampleN).toIndexedSeq
       finally memory.destroy()
 
-    val (trainIdx, validIdx) = examples.indices.partition(i => Rng.unif(seed, 2L, i.toLong) < 0.8)
-    val mlp = new MlpClassifier(Array(2 * system.dim, 64, 32, 1), seed)
+    val (trainIdx, validIdx) = examples.indices.partition(i => Rng.unif(Seed, 2L, i.toLong) < 0.8)
+    val mlp = new MlpClassifier(Array(2 * system.dim, 64, 32, 1), Seed)
     mlp.fit(trainIdx.map(examples), validIdx.map(examples),
-      lr = 0.0015, batchSize = 128, maxEpochs = 150, patience = 15, seed = seed)
+      lr = 0.0015, batchSize = 128, maxEpochs = 150, patience = 15, seed = Seed)
     mlp
   }
 

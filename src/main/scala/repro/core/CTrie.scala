@@ -25,57 +25,16 @@ final class CTrie extends Serializable {
   }
 
   private val root = new Node
-  private var nCandidates = 0
 
-  /** Number of distinct candidates in the forest. */
-  def size: Int = nCandidates
-
-  /** Insert a candidate given its token sequence. Case-insensitive; empty
-    * sequences are ignored. Returns true if the candidate was new.
+  /** Marks a candidate key (whitespace-tokenized, case-insensitive) as a
+    * terminal path; a blank key is ignored.
     */
-  def insert(tokens: Seq[String]): Boolean = {
-    if (tokens.isEmpty) return false
-    var node = root
-    tokens.foreach { t =>
-      node = node.children.getOrElseUpdate(Detection.keyOf(t), new Node)
+  private def insert(key: String): Unit = {
+    val tokens = key.split("\\s+").filter(_.nonEmpty)
+    if (tokens.nonEmpty) {
+      val last = tokens.foldLeft(root)((node, t) => node.children.getOrElseUpdate(Detection.keyOf(t), new Node))
+      last.terminal = true
     }
-    if (node.terminal) false
-    else {
-      node.terminal = true
-      nCandidates += 1
-      true
-    }
-  }
-
-  /** Insert from a candidate key / surface string (whitespace-tokenized). */
-  def insertString(s: String): Boolean = insert(s.split("\\s+").toIndexedSeq.filter(_.nonEmpty))
-
-  /** True iff the exact token sequence is a registered candidate (case-insensitive). */
-  def contains(tokens: Seq[String]): Boolean = {
-    var node = root
-    tokens.foreach { t =>
-      node.children.get(Detection.keyOf(t)) match {
-        case Some(n) => node = n
-        case None    => return false
-      }
-    }
-    tokens.nonEmpty && node.terminal
-  }
-
-  def containsString(s: String): Boolean =
-    contains(s.split("\\s+").toIndexedSeq.filter(_.nonEmpty))
-
-  /** All registered candidate keys (lower-cased, space-joined). Driver-side,
-    * for tests.
-    */
-  def keys: Seq[String] = {
-    val out = mutable.ArrayBuffer.empty[String]
-    def walk(node: Node, prefix: List[String]): Unit = {
-      if (node.terminal) out += prefix.reverse.mkString(" ")
-      node.children.foreach { case (tok, child) => walk(child, tok :: prefix) }
-    }
-    walk(root, Nil)
-    out.toSeq.sorted
   }
 
   /** Longest-match scan of a token sequence; returns (start, len) spans of
@@ -115,7 +74,7 @@ object CTrie {
   /** Build a trie from candidate keys (driver-side). */
   def fromKeys(keys: Iterable[String]): CTrie = {
     val t = new CTrie
-    keys.foreach(t.insertString)
+    keys.foreach(t.insert)
     t
   }
 }

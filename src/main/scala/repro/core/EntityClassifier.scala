@@ -65,13 +65,14 @@ object EntityClassifier {
       valid.map(examples).toIndexedSeq,
       lr = 0.0015, batchSize = 128, maxEpochs = maxEpochs, patience = 20, seed = seed)
 
-    (clf, f1At(clf, valid.map(examples), 0.5))
+    (clf, f1(clf, valid.map(examples)))
   }
 
-  private def f1At(clf: EntityClassifier, valid: Seq[(Array[Double], Double)], t: Double): Double = {
+  /** F1 of `clf` on labelled examples at threshold 0.5. */
+  private def f1(clf: EntityClassifier, valid: Seq[(Array[Double], Double)]): Double = {
     var tp = 0; var fp = 0; var fn = 0
     valid.foreach { case (x, y) =>
-      val pred = clf.mlp.predictProba(x) >= t
+      val pred = clf.mlp.predictProba(x) >= 0.5
       if (pred && y > 0.5) tp += 1
       else if (pred) fp += 1
       else if (y > 0.5) fn += 1

@@ -19,44 +19,32 @@ object GlobalPooling {
       require(count > 0, "mean of empty pool")
       sum.map(_ / count)
     }
-    def add(emb: Array[Double]): Pool = {
-      require(count == 0 || emb.length == sum.length,
-        s"embedding dim ${emb.length} != pool dim ${sum.length}")
-      if (count == 0) Pool(1L, emb.clone())
-      else {
-        val s = sum.clone()
-        var i = 0
-        while (i < s.length) { s(i) += emb(i); i += 1 }
-        Pool(count + 1, s)
-      }
-    }
     def merge(other: Pool): Pool = {
-      if (count == 0) other
-      else if (other.count == 0) this
-      else {
-        require(sum.length == other.sum.length, "pool dim mismatch")
-        val s = sum.clone()
-        var i = 0
-        while (i < s.length) { s(i) += other.sum(i); i += 1 }
-        Pool(count + other.count, s)
-      }
+      require(sum.length == other.sum.length, s"pool dim ${other.sum.length} != ${sum.length}")
+      val s = sum.clone()
+      var i = 0
+      while (i < s.length) { s(i) += other.sum(i); i += 1 }
+      Pool(count + other.count, s)
     }
   }
 
   object Pool {
-    val empty: Pool = Pool(0L, Array.empty[Double])
+    /** The pool of one mention; it owns a copy of `emb`. */
+    def of(emb: Array[Double]): Pool = Pool(1L, emb.clone())
   }
 
-  /** Merges `more` into `into`, key by key. */
-  def mergeInto(into: mutable.Map[String, Pool], more: Iterable[(String, Pool)]): Unit =
-    more.foreach { case (k, p) => into.update(k, into.getOrElse(k, Pool.empty).merge(p)) }
+  /** Merges `more` into `into`, key by key: an absent key takes its pool
+    * as it is, a present one merges it.
+    */
+  def mergeInto(into: mutable.Map[String, Pool], more: IterableOnce[(String, Pool)]): Unit =
+    more.iterator.foreach { case (k, p) => into.updateWith(k)(prev => Some(prev.fold(p)(_.merge(p)))) }
 
   /** The per-partition half of pooling: each row's `emb` added into per-key
     * pools in row order.
     */
   def partitionPools[T](rows: Iterator[T])(key: T => String, emb: T => Array[Double]): mutable.HashMap[String, Pool] = {
     val part = mutable.HashMap.empty[String, Pool]
-    rows.foreach { r => val k = key(r); part.update(k, part.getOrElse(k, Pool.empty).add(emb(r))) }
+    mergeInto(part, rows.map(r => (key(r), Pool.of(emb(r)))))
     part
   }
 

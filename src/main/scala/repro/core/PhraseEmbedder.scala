@@ -42,18 +42,16 @@ final class PhraseEmbedder(val inDim: Int, val outDim: Int, seed: Long) extends 
     dense.backward(p.b, dpb)
   }
 
-  /** Train with [[repro.nn.Adam.fit]] on validation MSE; restores the best
-    * weights and returns the best validation loss.
+  /** Train with [[repro.nn.Adam.fit]] (lr 0.001, batch 32, shuffle seed 13)
+    * on validation MSE; restores the best weights and returns the best
+    * validation loss.
     */
   def fit(train: IndexedSeq[PhraseEmbedder.Pair],
           valid: IndexedSeq[PhraseEmbedder.Pair],
-          lr: Double = 0.001,
-          batchSize: Int = 32,
           maxEpochs: Int = 60,
-          patience: Int = 10,
-          seed: Long = 13L): Double = {
+          patience: Int = 10): Double = {
     require(train.nonEmpty, "empty STS training set")
-    Adam.fit(dense.params, train.size, lr, batchSize, maxEpochs, patience, minGain = 1e-7, seed)(
+    Adam.fit(dense.params, train.size, lr = 0.001, batchSize = 32, maxEpochs, patience, minGain = 1e-7, seed = 13L)(
       i => backwardPair(train(i)), () => loss(valid))
   }
 }

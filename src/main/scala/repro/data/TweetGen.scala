@@ -50,7 +50,6 @@ object TweetGen {
     @transient lazy val zipf = new Rng.Zipf(nEntities, zipfAlpha)
 
     def entityKey(entityId: Long): String = Vocab.keyOf(Vocab.entityTokens(seed, entityId))
-    def lureKey(lureId: Long): String     = Vocab.keyOf(Vocab.lureTokens(seed, lureId))
 
     /** All canonical entity keys of this dataset's pool (driver-side). */
     def entityKeys: Set[String] = (1L to nEntities).map(entityKey).toSet

@@ -126,11 +126,10 @@ object Experiments {
 
   final case class Table4Row(dataset: String, system: String, p: Double, r: Double, f1: Double)
 
-  def table4(spark: SparkSession,
-             specs: Seq[TweetGen.Spec] = TweetGen.evalSpecs): Seq[Table4Row] = {
+  def table4(spark: SparkSession): Seq[Table4Row] = {
     val trained = TrainedCache.get(spark, Aguilar)
     val decoder = TrainedCache.hireDecoder(spark)
-    specs.flatMap { spec =>
+    TweetGen.evalSpecs.flatMap { spec =>
       val glob = Globalizer.run(spark, spec, Aguilar, trained.classifier, trained.phraseEmbedder,
         chargeEmbeddingCost = false).globalEval
       val hire = Metrics.score(HireNer.run(spark, spec, Aguilar, decoder),

@@ -37,7 +37,9 @@ final class Linear(val inDim: Int, val outDim: Int, seed: Long) extends Serializ
     out
   }
 
-  /** Accumulate grads for (x, dOut) and return dX. Call zeroGrad between batches. */
+  /** Accumulate grads for (x, dOut) and return dX. [[Adam.fit]] zeroes the
+    * grads before each batch.
+    */
   def backward(x: Array[Double], dOut: Array[Double]): Array[Double] = {
     val dX = new Array[Double](inDim)
     var o = 0
@@ -56,20 +58,14 @@ final class Linear(val inDim: Int, val outDim: Int, seed: Long) extends Serializ
     dX
   }
 
-  def zeroGrad(): Unit = {
-    java.util.Arrays.fill(gw, 0.0)
-    java.util.Arrays.fill(gb, 0.0)
-  }
-
   def params: Seq[(Array[Double], Array[Double])] = Seq((w, gw), (b, gb))
 }
 
-/** Adam optimizer over a set of (param, grad) array pairs (Kingma & Ba). */
-final class Adam(paramGrads: Seq[(Array[Double], Array[Double])],
-                 lr: Double,
-                 beta1: Double = 0.9,
-                 beta2: Double = 0.999,
-                 eps: Double = 1e-8) extends Serializable {
+/** Adam optimizer over a set of (param, grad) array pairs (Kingma & Ba),
+  * with the usual β1 = 0.9, β2 = 0.999 and ε = 1e-8.
+  */
+final class Adam(paramGrads: Seq[(Array[Double], Array[Double])], lr: Double) extends Serializable {
+  import Adam.{Beta1, Beta2, Eps}
   private val m = paramGrads.map { case (p, _) => new Array[Double](p.length) }
   private val v = paramGrads.map { case (p, _) => new Array[Double](p.length) }
   private var t = 0
@@ -77,16 +73,16 @@ final class Adam(paramGrads: Seq[(Array[Double], Array[Double])],
   /** One update from the currently-accumulated grads, scaled by 1/batchSize. */
   def step(batchSize: Int): Unit = {
     t += 1
-    val bc1 = 1.0 - math.pow(beta1, t)
-    val bc2 = 1.0 - math.pow(beta2, t)
+    val bc1 = 1.0 - math.pow(Beta1, t)
+    val bc2 = 1.0 - math.pow(Beta2, t)
     paramGrads.zipWithIndex.foreach { case ((p, g), k) =>
       val mk = m(k); val vk = v(k)
       var i = 0
       while (i < p.length) {
         val gi = g(i) / batchSize
-        mk(i) = beta1 * mk(i) + (1 - beta1) * gi
-        vk(i) = beta2 * vk(i) + (1 - beta2) * gi * gi
-        p(i) -= lr * (mk(i) / bc1) / (math.sqrt(vk(i) / bc2) + eps)
+        mk(i) = Beta1 * mk(i) + (1 - Beta1) * gi
+        vk(i) = Beta2 * vk(i) + (1 - Beta2) * gi * gi
+        p(i) -= lr * (mk(i) / bc1) / (math.sqrt(vk(i) / bc2) + Eps)
         i += 1
       }
     }
@@ -94,6 +90,9 @@ final class Adam(paramGrads: Seq[(Array[Double], Array[Double])],
 }
 
 object Adam {
+  private val Beta1 = 0.9
+  private val Beta2 = 0.999
+  private val Eps = 1e-8
 
   /** Mini-batch Adam with early stopping on validation loss, the training
     * recipe of both learned components. Each epoch visits the `n` training

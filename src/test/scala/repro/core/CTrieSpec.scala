@@ -9,49 +9,47 @@ class CTrieSpec extends AnyFunSuite {
 
   private def trie(keys: String*): CTrie = CTrie.fromKeys(keys)
 
-  test("empty trie has size 0 and matches nothing") {
-    val t = new CTrie
-    assert(t.size == 0)
-    assert(t.scan(IndexedSeq("a", "b")).isEmpty)
+  /** True iff the whole of `key` is a candidate of `t`: the scan of its
+    * tokens is one span covering them all.
+    */
+  private def isCandidate(t: CTrie, key: String): Boolean = {
+    val tokens = key.split(" ").toIndexedSeq
+    t.scan(tokens) == Seq((0, tokens.length))
   }
 
-  test("insert returns true for new, false for duplicate") {
-    val t = new CTrie
-    assert(t.insert(Seq("Andy", "Beshear")))
-    assert(!t.insert(Seq("andy", "beshear"))) // case-insensitive duplicate
-    assert(t.size == 1)
+  test("empty trie matches nothing") {
+    assert(new CTrie().scan(IndexedSeq("a", "b")).isEmpty)
   }
 
   test("insert of empty sequence is a no-op") {
-    val t = new CTrie
-    assert(!t.insert(Seq.empty))
-    assert(t.size == 0)
+    // Blank keys register no candidate.
+    assert(CTrie.fromKeys(Seq("", "   ")).scan(IndexedSeq("a", "", "b")).isEmpty)
+    assert(trie("", "a").scan(IndexedSeq("", "a")) == Seq((1, 1)))
   }
 
-  test("contains is case-insensitive") {
-    val t = trie("andy beshear")
-    assert(t.contains(Seq("ANDY", "Beshear")))
-    assert(t.containsString("Andy beshear"))
-    assert(!t.contains(Seq("andy")))
+  test("candidate keys are case-insensitive, and a repeated key is one candidate") {
+    val t = trie("andy beshear", "Beta", "alpha gamma", "ALPHA", "Andy Beshear", "alpha")
+    assert(isCandidate(t, "ANDY Beshear"))
+    assert(isCandidate(t, "Andy beshear"))
+    assert(!isCandidate(t, "andy"))
+    Seq("alpha", "alpha gamma", "beta", "BETA").foreach(k => assert(isCandidate(t, k), k))
+    assert(!isCandidate(t, "gamma"))
+    // One candidate per key: a repeated key yields one span, not two.
+    assert(t.scan(IndexedSeq("andy", "beshear", "beta")) == Seq((0, 2), (2, 1)))
   }
 
   test("prefix of a candidate is not itself a candidate") {
     val t = trie("new york city")
-    assert(!t.containsString("new york"))
-    assert(t.containsString("new york city"))
+    assert(!isCandidate(t, "new york"))
+    assert(isCandidate(t, "new york city"))
   }
 
   test("candidates with shared prefixes coexist") {
     val t = trie("new york", "new york city", "new jersey")
-    assert(t.size == 3)
-    assert(t.containsString("new york"))
-    assert(t.containsString("new york city"))
-    assert(t.containsString("new jersey"))
-  }
-
-  test("keys lists all candidates lower-cased and sorted") {
-    val t = trie("Beta", "alpha gamma", "ALPHA")
-    assert(t.keys == Seq("alpha", "alpha gamma", "beta"))
+    assert(isCandidate(t, "new york"))
+    assert(isCandidate(t, "new york city"))
+    assert(isCandidate(t, "new jersey"))
+    assert(!isCandidate(t, "new"))
   }
 
   test("scan finds a single unigram mention") {
@@ -87,9 +85,7 @@ class CTrieSpec extends AnyFunSuite {
 
   test("scan backtracks to the last terminal on a non-terminal longer path") {
     // Path "new york city" exists; "new york" is the only terminal prefix.
-    val extended = new CTrie
-    extended.insertString("new york")
-    extended.insertString("new york city council")
+    val extended = trie("new york", "new york city council")
     assert(extended.scan(IndexedSeq("in", "new", "york", "city", "today")) == Seq((1, 2)))
   }
 
@@ -128,21 +124,22 @@ class CTrieSpec extends AnyFunSuite {
     assert(t.scan(IndexedSeq("italy", "vs", "italy", "and", "Italy")) == Seq((0, 1), (2, 1), (4, 1)))
   }
 
-  test("insertString ignores extra whitespace") {
-    val t = new CTrie
-    t.insertString("  andy   beshear ")
-    assert(t.containsString("andy beshear"))
+  test("fromKeys ignores extra whitespace") {
+    val t = trie("  andy   beshear ")
+    assert(isCandidate(t, "andy beshear"))
   }
 
   test("serialized trie scans identically (broadcast-safe)") {
-    val t = trie("andy beshear", "coronavirus", "new york city")
+    val keys = Seq("andy beshear", "coronavirus", "new york city")
+    val t = CTrie.fromKeys(keys)
     val bos = new java.io.ByteArrayOutputStream()
     new java.io.ObjectOutputStream(bos).writeObject(t)
     val t2 = new java.io.ObjectInputStream(
       new java.io.ByteArrayInputStream(bos.toByteArray)).readObject().asInstanceOf[CTrie]
     val sent = IndexedSeq("Andy", "Beshear", "on", "coronavirus", "in", "New", "York", "City")
     assert(t2.scan(sent) == t.scan(sent))
-    assert(t2.keys == t.keys)
+    keys.foreach(k => assert(isCandidate(t2, k), k))
+    assert(!isCandidate(t2, "new york"))
   }
 
   // ------------------------------------------------- reference cross-check
@@ -175,8 +172,7 @@ class CTrieSpec extends AnyFunSuite {
         val len = 1 + Rng.int(3, 1001L, round.toLong, k.toLong)
         (0 until len).map(p => vocab(Rng.int(vocab.size, 1002L, round.toLong, k.toLong, p.toLong)))
       }.toSet
-      val t = new CTrie
-      keys.foreach(t.insert)
+      val t = CTrie.fromKeys(keys.map(_.mkString(" ")))
       val sentLen = Rng.int(15, 1003L, round.toLong)
       val sent = IndexedSeq.tabulate(sentLen)(p => vocab(Rng.int(vocab.size, 1004L, round.toLong, p.toLong)))
       val got = t.scan(sent)

@@ -9,44 +9,59 @@ class GlobalPoolingSpec extends SparkSpec {
   private def m(key: String, emb: Array[Double], tweetId: Long, start: Int = 0): MentionEmb =
     MentionEmb(Detection(tweetId, 0, start, 1, key), emb)
 
+  /** Pools of `(key, emb)` rows, folded as a partition folds its mentions. */
+  private def fold(rows: (String, Array[Double])*): collection.Map[String, Pool] =
+    GlobalPooling.partitionPools(rows.iterator)(_._1, _._2)
+
   test("empty pool add clones the embedding") {
     val e = Array(1.0, 2.0)
-    val p = Pool.empty.add(e)
+    val p = fold("k" -> e)("k")
+    val q = Pool.of(e)
     e(0) = 99.0
     assert(p.sum.toSeq == Seq(1.0, 2.0), "pool must not alias the input array")
-    assert(p.count == 1)
+    assert(q.sum.toSeq == Seq(1.0, 2.0), "Pool.of must not alias the input array")
+    assert(p.count == 1 && q.count == 1)
   }
 
   test("add accumulates sums and counts") {
-    val p = Pool.empty.add(Array(1.0, 2.0)).add(Array(3.0, 4.0))
+    val a = Array(1.0, 2.0)
+    val p = fold("k" -> a, "k" -> Array(3.0, 4.0))("k")
     assert(p.count == 2)
     assert(p.sum.toSeq == Seq(4.0, 6.0))
     assert(p.mean.toSeq == Seq(2.0, 3.0))
+    assert(a.toSeq == Seq(1.0, 2.0), "adding must not change an input array")
   }
 
   test("mean of empty pool throws") {
-    intercept[IllegalArgumentException](Pool.empty.mean)
+    intercept[IllegalArgumentException](Pool(0L, Array.empty[Double]).mean)
   }
 
   test("add rejects dimension mismatch") {
-    intercept[IllegalArgumentException](Pool.empty.add(Array(1.0)).add(Array(1.0, 2.0)))
+    intercept[IllegalArgumentException](fold("k" -> Array(1.0), "k" -> Array(1.0, 2.0)))
+    intercept[IllegalArgumentException](Pool.of(Array(1.0)).merge(Pool.of(Array(1.0, 2.0))))
   }
 
   test("merge combines pools and is neutral with empty") {
-    val a = Pool.empty.add(Array(1.0, 1.0))
-    val b = Pool.empty.add(Array(3.0, 5.0)).add(Array(2.0, 0.0))
+    val a = Pool.of(Array(1.0, 1.0))
+    val b = Pool.of(Array(3.0, 5.0)).merge(Pool.of(Array(2.0, 0.0)))
     val ab = a.merge(b)
     assert(ab.count == 3)
     assert(ab.sum.toSeq == Seq(6.0, 6.0))
-    assert(Pool.empty.merge(a).count == 1)
-    assert(a.merge(Pool.empty).count == 1)
+    assert(a.sum.toSeq == Seq(1.0, 1.0), "merge must not change its receiver")
+    val empty = Pool(0L, Array(0.0, 0.0))
+    Seq(empty.merge(a), a.merge(empty)).foreach(p => assert(p.count == 1 && p.sum.toSeq == Seq(1.0, 1.0)))
+    // mergeInto merges into a present key and takes an absent key's pool as it is.
+    val into = scala.collection.mutable.HashMap("a" -> a)
+    GlobalPooling.mergeInto(into, Seq("a" -> b, "c" -> b))
+    assert(into("a").count == 3 && into("a").sum.toSeq == Seq(6.0, 6.0))
+    assert(into("c") eq b)
   }
 
   test("merge is order-independent (incremental == batch)") {
-    val embs = (0 until 10).map(i => Array(i.toDouble, 2.0 * i))
-    val batch = embs.foldLeft(Pool.empty)(_ add _)
-    val part1 = embs.take(4).foldLeft(Pool.empty)(_ add _)
-    val part2 = embs.drop(4).foldLeft(Pool.empty)(_ add _)
+    val embs = (0 until 10).map(i => Pool.of(Array(i.toDouble, 2.0 * i)))
+    val batch = embs.reduce(_ merge _)
+    val part1 = embs.take(4).reduce(_ merge _)
+    val part2 = embs.drop(4).reduce(_ merge _)
     val merged = part1.merge(part2)
     assert(merged.count == batch.count)
     assert(merged.sum.toSeq == batch.sum.toSeq)

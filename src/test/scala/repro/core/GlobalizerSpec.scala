@@ -74,7 +74,8 @@ class GlobalizerSpec extends SparkSpec {
   test("every candidate record's key comes from a seed candidate's scan") {
     val seedTrie = CTrie.fromKeys(Globalizer.seedKeys(runAguilar.detections))
     runAguilar.scored.foreach { case (rec, _) =>
-      assert(seedTrie.containsString(rec.key), s"unseeded candidate ${rec.key}")
+      val tokens = rec.key.split(" ").toIndexedSeq
+      assert(seedTrie.scan(tokens) == Seq((0, tokens.length)), s"unseeded candidate ${rec.key}")
     }
   }
 

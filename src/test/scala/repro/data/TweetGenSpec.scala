@@ -1,7 +1,7 @@
 package repro.data
 
 import org.apache.spark.rdd.RDD
-import repro.core.Tweet
+import repro.core.{Detection, Tweet}
 import repro.exp.Experiments
 import repro.{Oracle, SparkSpec}
 
@@ -74,7 +74,7 @@ class TweetGenSpec extends SparkSpec {
     val spec = TweetGen.DevStream
     devLocal.foreach { t =>
       t.gold.foreach { g =>
-        val surface = t.surface(g.start, g.len).toLowerCase
+        val surface = Detection.keyOf(t.surface(g.start, g.len))
         assert(surface == spec.entityKey(g.entityId),
           s"tweet ${t.tweetId}: '$surface' != '${spec.entityKey(g.entityId)}'")
       }
@@ -85,7 +85,7 @@ class TweetGenSpec extends SparkSpec {
     val spec = TweetGen.DevStream
     devLocal.foreach { t =>
       t.lures.foreach { l =>
-        assert(t.surface(l.start, l.len).toLowerCase == spec.lureKey(l.lureId))
+        assert(Detection.keyOf(t.surface(l.start, l.len)) == Vocab.keyOf(Vocab.lureTokens(spec.seed, l.lureId)))
       }
     }
   }

@@ -71,7 +71,6 @@ class NetSpec extends AnyFunSuite {
     val x = Array(0.3, -0.8, 1.2)
     // Loss = sum of outputs; dOut = ones.
     def loss(): Double = lin.forward(x).sum
-    lin.zeroGrad()
     lin.backward(x, Array(1.0, 1.0))
     val eps = 1e-6
     (0 until lin.w.length).foreach { i =>
@@ -93,16 +92,8 @@ class NetSpec extends AnyFunSuite {
   test("Linear backward returns dX = W^T dOut") {
     val lin = new Linear(2, 2, 3L)
     lin.w(0) = 1.0; lin.w(1) = 2.0; lin.w(2) = 3.0; lin.w(3) = 4.0
-    lin.zeroGrad()
     val dX = lin.backward(Array(0.0, 0.0), Array(1.0, 1.0))
     assert(dX.toSeq == Seq(4.0, 6.0))
-  }
-
-  test("zeroGrad clears accumulated gradients") {
-    val lin = new Linear(2, 2, 3L)
-    lin.backward(Array(1.0, 1.0), Array(1.0, 1.0))
-    lin.zeroGrad()
-    assert(lin.gw.forall(_ == 0.0) && lin.gb.forall(_ == 0.0))
   }
 
   // ------------------------------------------------------------------- Adam
